@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -137,6 +138,8 @@ def _parse_psi(text: str | None, dim: int) -> np.ndarray:
         psi[0] = 1.0
         return psi
     values = [float(v) for v in text.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"--psi entries must be finite, got {text!r}")
     if len(values) != 2 * dim:
         raise ValueError(f"--psi expects {2 * dim} numbers (re,im per amplitude)")
     psi = np.array(
@@ -314,6 +317,10 @@ def _build_preset(name: str, dim: int):
 
 
 def _cmd_run(args) -> int:
+    for flag in ("alpha", "beta", "beta_phase", "tolerance"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     sources = [args.preset, args.scheme, args.sequence]
     if sum(s is not None for s in sources) != 1:
         raise ValueError("need exactly one of --preset, --scheme, --sequence")

@@ -104,7 +104,7 @@ class StateVector:
                 f"space has dimension {space.total_dim}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > tol:
+        if not abs(norm - 1.0) <= tol:  # written to fail on NaN
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {tol}")
         amps.setflags(write=False)
         self.space = space
@@ -140,7 +140,7 @@ class Operator:
         m = _as_complex_matrix(entries)
         if claims_unitary:
             dev = _unitary_deviation(m)
-            if dev > tol:
+            if not dev <= tol:  # written to fail on NaN
                 raise ValueError(
                     f"matrix claimed unitary but deviates by {dev:.3e} (tol {tol})"
                 )
@@ -175,13 +175,14 @@ class DensityMatrix:
         m = _as_complex_matrix(entries)
         if m.shape[0] != space.total_dim:
             raise ValueError("matrix dimension does not match the space")
-        if np.max(np.abs(m - m.conj().T)) > tol:
+        # comparisons written to fail on NaN
+        if not np.max(np.abs(m - m.conj().T)) <= tol:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > tol:
+        if not abs(tr - 1.0) <= tol:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
         lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-        if lo < -tol:
+        if not lo >= -tol:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         m.setflags(write=False)
         self.space = space
@@ -395,12 +396,13 @@ def measure_projective(
         m = p.entries
         if m.shape != (dim, dim):
             raise ValueError("projector dimension does not match the state")
-        if np.max(np.abs(m - m.conj().T)) > tol:
+        # comparisons written to fail on NaN
+        if not np.max(np.abs(m - m.conj().T)) <= tol:
             raise ValueError("projector is not Hermitian")
-        if np.max(np.abs(m @ m - m)) > tol:
+        if not np.max(np.abs(m @ m - m)) <= tol:
             raise ValueError("projector is not idempotent")
         total += m
-    if np.max(np.abs(total - np.eye(dim))) > tol:
+    if not np.max(np.abs(total - np.eye(dim))) <= tol:
         raise ValueError("incomplete projector set: sum differs from identity")
 
     probs = np.array(

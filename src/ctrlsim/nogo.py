@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +39,12 @@ from . import photonic
 CTRL_U = "ctrl_u"
 SWITCH = "switch"
 KINDS = (CTRL_U, SWITCH)
+
+# Byte budget for the largest intermediate array of one batched
+# objective call.  Points beyond it are evaluated in chunks, so that a
+# finite-difference gradient (about 400 MB in one batch at a=2, d=8)
+# keeps a working set of a few times this size at any dimension.
+_CHUNK_BYTES = 1 << 19
 
 
 def _check_kind(kind: str) -> str:
@@ -55,18 +61,38 @@ def hermitian_from_params(vec: np.ndarray, dim: int) -> np.ndarray:
     """Real vector of length dim**2 to a Hermitian matrix.
 
     First ``dim`` entries fill the diagonal; the remaining pairs fill
-    the real and imaginary parts of the strict upper triangle.
+    the real and imaginary parts of the strict upper triangle.  Leading
+    axes of ``vec`` are batch axes: ``(..., dim**2)`` gives ``(...,
+    dim, dim)``.
     """
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (dim * dim,):
+    if vec.shape[-1:] != (dim * dim,):
         raise ValueError(f"expected {dim * dim} parameters, got {vec.shape}")
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    h[np.diag_indices(dim)] = vec[:dim]
+    re, im, sign = _generator_index(dim)
+    h = np.empty(vec.shape, dtype=np.complex128)
+    h.real = np.take(vec, re, axis=-1)
+    h.imag = sign * np.take(vec, im, axis=-1)
+    return h.reshape(*vec.shape[:-1], dim, dim)
+
+
+@lru_cache(maxsize=None)
+def _generator_index(dim: int) -> tuple[np.ndarray, ...]:
+    """Gather indices of :func:`hermitian_from_params`, per matrix entry
+    in C order: the parameter holding the real part, the one holding the
+    imaginary part, and the sign of the imaginary part (0 on the
+    diagonal, -1 below it)."""
     iu = np.triu_indices(dim, k=1)
     n_off = iu[0].size
-    h[iu] = vec[dim : dim + n_off] + 1j * vec[dim + n_off :]
-    h = h + np.triu(h, k=1).conj().T
-    return h
+    re = np.diag(np.arange(dim))
+    im = np.zeros((dim, dim), dtype=re.dtype)
+    sign = np.zeros((dim, dim))
+    re[iu] = re.T[iu] = dim + np.arange(n_off)
+    im[iu] = im.T[iu] = dim + n_off + np.arange(n_off)
+    sign[iu], sign.T[iu] = 1.0, -1.0
+    out = (re.reshape(-1), im.reshape(-1), sign.reshape(-1))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -91,6 +117,7 @@ class ParamCircuit:
         expected = _n_slots(kind) * (ancilla_dim * 2 * system_dim) ** 2
         if params.shape != (expected,):
             raise ValueError(f"expected {expected} parameters, got {params.shape[0]}")
+        _require_finite(params)
         params.setflags(write=False)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "ancilla_dim", int(ancilla_dim))
@@ -108,16 +135,31 @@ class ParamCircuit:
     @cached_property
     def slot_matrices(self) -> tuple[np.ndarray, ...]:
         """Realized unitaries of the parametrized slots, in application
-        order (first matrix acts first)."""
-        return _slot_matrices(self.kind, self.full_dim, self.params)
+        order (first matrix acts first).
+
+        Built one slot at a time with scipy's ``expm``: the reference
+        the batched search kernel is tested against.
+        """
+        gens = hermitian_from_params(self.params.reshape(_n_slots(self.kind), -1), self.full_dim)
+        return tuple(expm(1j * h) for h in gens)
 
 
-def _slot_matrices(kind: str, full_dim: int, params: np.ndarray) -> tuple[np.ndarray, ...]:
-    dd = full_dim * full_dim
-    return tuple(
-        expm(1j * hermitian_from_params(params[k * dd : (k + 1) * dd], full_dim))
-        for k in range(_n_slots(kind))
-    )
+def _require_finite(params: np.ndarray) -> None:
+    if not np.isfinite(params).all():
+        raise ValueError("search parameters must be finite")
+
+
+def _slot_matrices(kind: str, full_dim: int, params: np.ndarray) -> np.ndarray:
+    """Slot unitaries ``expm(i H)`` of parameter points ``(..., n)``, as
+    an array ``(..., n_slots, D, D)`` in application order.
+
+    All generators come from one gather and are exponentiated by one
+    stacked Hermitian eigendecomposition, ``V e^{i w} V^dag``; scipy's
+    ``expm`` in :attr:`ParamCircuit.slot_matrices` is the reference.
+    """
+    vec = np.reshape(params, (*np.shape(params)[:-1], _n_slots(kind), full_dim * full_dim))
+    w, v = np.linalg.eigh(hermitian_from_params(vec, full_dim))
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def param_count(kind: str, ancilla_dim: int, system_dim: int) -> int:
@@ -238,31 +280,77 @@ def worst_case_fidelity(pc: ParamCircuit, samples) -> float:
 
 
 def _prepare_samples(kind: str, ancilla_dim: int, samples):
-    """Hoist the sample-dependent matrices out of the search loop:
-    the 1_ac x U insertions and the conjugated target matrices."""
-    eye_ac = np.eye(ancilla_dim * 2)
-    prepared = []
-    for s in samples:
-        entries = _oracle_entries(kind, s)
-        ins = tuple(np.kron(eye_ac, u) for u in entries)
-        prepared.append((ins, target_unitary(kind, s).entries.conj()))
-    return prepared
+    """Hoist the sample-dependent matrices out of the search loop.
+
+    Returns the oracles stacked as ``(S, n_insertions, d, d)`` in
+    insertion order and the conjugated targets flattened to
+    ``(S, cs*cs)``.  The insertions act on each ancilla-control row
+    block alike, so ``ancilla_dim`` does not enter.
+    """
+    if not samples:
+        raise ValueError("sample set must be non-empty")
+    oracles = np.stack([np.stack(_oracle_entries(kind, s)) for s in samples])
+    targets = np.stack([target_unitary(kind, s).entries.reshape(-1).conj() for s in samples])
+    return oracles, targets
 
 
-def _worst_case_from_slots(kind, ancilla_dim, system_dim, slots, prepared) -> float:
-    """Same value as :func:`worst_case_fidelity`, on precomputed parts."""
-    a, cs = ancilla_dim, 2 * system_dim
-    d2 = cs * cs
-    worst = np.inf
-    for ins, target_conj in prepared:
-        if kind == CTRL_U:
-            total = slots[1] @ ins[0] @ slots[0]
-        else:
-            total = slots[2] @ ins[1] @ slots[1] @ ins[0] @ slots[0]
-        kraus = total.reshape(a, cs, a, cs)[:, :, 0, :]
-        overlaps = np.einsum("ij,mij->m", target_conj, kraus)
-        worst = min(worst, float(np.sum(np.abs(overlaps) ** 2)) / d2)
-    return worst
+def _worst_case_from_slots(kind, ancilla_dim, system_dim, slots, prepared):
+    """Same value as :func:`worst_case_fidelity`, for every point of a
+    batch of slot unitaries ``(..., n_slots, D, D)``.
+
+    Only the columns of ancilla input |0> are propagated, for all
+    samples side by side as ``(..., D, S*cs)``.  Each insertion
+    ``1_ac x U`` is a matmul on the rows regrouped to ``(..., S, d,
+    2a*cs)``.  Returns the minimum over samples, shape ``(...)``.
+    """
+    oracles, targets = prepared
+    a, d = ancilla_dim, system_dim
+    cs, blocks, n_samples = 2 * d, 2 * a, len(oracles)
+    batch = slots.shape[:-3]
+    n_insertions = oracles.shape[1]
+    # the input columns are the same for every sample, so the first
+    # insertion multiplies them by all oracles stacked as rows (S*d, d)
+    cols = slots[..., 0, :, :cs].reshape(*batch, blocks, d, cs).swapaxes(-3, -2)
+    rows = oracles[:, 0].reshape(n_samples * d, d) @ cols.reshape(*batch, d, blocks * cs)
+    for k in range(1, n_insertions + 1):
+        # rows (..., S, d, 2a*cs) -> columns (..., D, S*cs), then slot k
+        rows = rows.reshape(*batch, n_samples, d, blocks, cs).swapaxes(-4, -2)
+        cols = slots[..., k, :, :] @ rows.reshape(*batch, blocks * d, n_samples * cs)
+        if k < n_insertions:  # back to rows for the next insertion, per sample
+            rows = cols.reshape(*batch, blocks, d, n_samples, cs).swapaxes(-4, -2)
+            rows = oracles[:, k] @ rows.reshape(*batch, n_samples, d, blocks * cs)
+    # Kraus operator m of sample s is cols[(m, i), (s, j)]
+    kraus = cols.reshape(*batch, a, cs, n_samples, cs).swapaxes(-4, -2).swapaxes(-3, -2)
+    kraus = kraus.reshape(*batch, n_samples, a, cs * cs)
+    overlaps = np.sum(kraus * targets[:, None, :], axis=-1)  # (..., S, a)
+    fid = np.sum(np.abs(overlaps) ** 2, axis=-1) / (cs * cs)
+    return np.min(fid, axis=-1)
+
+
+def _worst_case(kind: str, ancilla_dim: int, system_dim: int, params, prepared) -> np.ndarray:
+    """Search objective: the worst-case process fidelity of each
+    parameter point ``(..., n)``, as an array ``(...)``.
+
+    Points are evaluated in chunks whose largest intermediate stays
+    within ``_CHUNK_BYTES``.
+    """
+    params = np.asarray(params, dtype=float)
+    _require_finite(params)
+    full_dim = ancilla_dim * 2 * system_dim
+    n = params.shape[-1]
+    flat = params.reshape(-1, n)
+    oracles, _ = prepared
+    # per point, the larger of its slot gates and its propagated columns
+    point_bytes = 16 * full_dim * max(_n_slots(kind) * full_dim, len(oracles) * 2 * system_dim)
+    chunk = max(1, _CHUNK_BYTES // point_bytes)
+    out = np.empty(len(flat))
+    for start in range(0, len(flat), chunk):
+        part = flat[start : start + chunk]
+        slots = _slot_matrices(kind, full_dim, part)
+        out[start : start + chunk] = _worst_case_from_slots(
+            kind, ancilla_dim, system_dim, slots, prepared
+        )
+    return out.reshape(params.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -327,23 +415,32 @@ class SearchReport:
 
 
 def _fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
-    """Forward-difference gradient."""
-    f0 = f(x)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += step
-        grad[i] = (f(xp) - f0) / step
-    return grad
+    """Forward-difference gradient of a batched objective ``f``, which
+    maps points ``(m, n)`` to values ``(m,)``.
+
+    ``x`` and its ``n`` shifted copies go to ``f`` in one call, or in
+    blocks of ``_CHUNK_BYTES`` when the points alone would exceed it.
+    """
+    n = x.size
+    block = max(1, _CHUNK_BYTES // (8 * n))
+    values = np.empty(n + 1)
+    for start in range(0, n + 1, block):
+        rows = np.arange(start, min(start + block, n + 1))
+        points = np.tile(x, (rows.size, 1))
+        shifted = rows > 0
+        points[shifted, rows[shifted] - 1] += step
+        values[rows] = f(points)
+    return (values[1:] - values[0]) / step
 
 
 def _fd_polish(f, x: np.ndarray, steps: int, fd_step: float, f_tol: float):
-    """Finite-difference ascent from a simplex result.
+    """Finite-difference ascent from a simplex result, on a batched
+    objective ``f`` (see :func:`_fd_gradient`).
 
     Backtracking line search along the gradient; stops when no trial
     step improves the objective by more than ``f_tol``.
     """
-    best = f(x)
+    best = float(f(x))
     fevals = 1
     iters = 0
     for _ in range(steps):
@@ -356,7 +453,7 @@ def _fd_polish(f, x: np.ndarray, steps: int, fd_step: float, f_tol: float):
         improved = False
         for scale in (1.0, 0.3, 0.1, 0.03, 0.01, 0.003):
             trial = x + scale * direction
-            val = f(trial)
+            val = float(f(trial))
             fevals += 1
             if val > best + f_tol:
                 x, best = trial, val
@@ -377,6 +474,12 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
     Gaussian parameters.  Each restart runs a Nelder-Mead ascent
     followed by a short finite-difference polish.  Non-convergence is
     reported per restart, never raised.
+
+    The objective is one batched kernel: slot gates from one stacked
+    Hermitian eigendecomposition, all samples contracted at once, and
+    each polish gradient evaluated in a single call.  ``ParamCircuit``
+    with :func:`worst_case_fidelity` computes the same value through
+    scipy's ``expm`` and is the reference the kernel is tested against.
     """
     _check_kind(kind)
     d, a = config.system_dim, config.ancilla_dim
@@ -384,11 +487,10 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
         sample_rng = np.random.default_rng(config.seed)
         samples = draw_samples(kind, d, config.sample_count, sample_rng)
     n = param_count(kind, a, d)
-    full_dim = a * 2 * d
     prepared = _prepare_samples(kind, a, samples)
 
-    def objective(x: np.ndarray) -> float:
-        return _worst_case_from_slots(kind, a, d, _slot_matrices(kind, full_dim, x), prepared)
+    def objective(x: np.ndarray) -> np.ndarray:
+        return _worst_case(kind, a, d, x, prepared)
 
     results: list[RestartResult] = []
     best_val = -np.inf
@@ -396,7 +498,7 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
         rng = np.random.default_rng((config.seed, r))
         x0 = np.zeros(n) if r == 0 else rng.normal(0.0, 0.7, size=n)
         res = minimize(
-            lambda x: -objective(x),
+            lambda x: -float(objective(x)),
             x0,
             method="Nelder-Mead",
             options={

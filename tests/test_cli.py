@@ -128,6 +128,18 @@ class TestRunCommand:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--beta-phase", "--tolerance", "--psi"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "r.json"
+        if flag == "--psi":
+            value = f"{value},0,1,0"
+        code = run_cli("run", "--preset", "ctrl-u", "--u", "x", f"{flag}={value}", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+        assert not out.exists()
+
     def test_missing_binding_exits_2(self, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli("run", "--preset", "ctrl-u", "--out", str(out)) == 2

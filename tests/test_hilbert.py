@@ -86,6 +86,21 @@ class TestStateAndOperatorInvariants:
             DensityMatrix(space, np.diag([1.5, -0.5]))
         DensityMatrix(space, np.diag([0.5, 0.5]))
 
+    def test_nan_fails_closed(self):
+        space = HilbertSpace([("q", 2)])
+        with pytest.raises(ValueError):
+            Operator([[np.nan, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            StateVector(space, [np.nan, 0.0])
+        with pytest.raises(ValueError):
+            DensityMatrix(space, np.diag([np.nan, 0.5]))
+        with pytest.raises(ValueError):
+            DensityMatrix(space, [[0.5, np.nan], [np.nan, 0.5]])
+        projectors = [Operator(np.diag([np.nan, 0.0]), claims_unitary=False),
+                      Operator(np.diag([0.0, 1.0]), claims_unitary=False)]
+        with pytest.raises(ValueError, match="projector"):
+            measure_projective(StateVector(space, [1.0, 0.0]), projectors, np.random.default_rng(0))
+
     def test_direct_sum_block_validation(self):
         with pytest.raises(ValueError):
             DirectSumBlock([1, 1], 4)

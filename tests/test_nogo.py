@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from ctrlsim import nogo
 from ctrlsim.hilbert import Operator, haar_unitary
 from ctrlsim.nogo import (
     CTRL_U,
     SWITCH,
     ParamCircuit,
     SearchConfig,
+    _fd_gradient,
     _prepare_samples,
     _slot_matrices,
+    _worst_case,
     _worst_case_from_slots,
     choi_of_unitary,
     draw_samples,
@@ -67,6 +71,11 @@ class TestParametrization:
         for dim in (2, 4, 8):
             h = hermitian_from_params(rng.normal(size=dim * dim), dim)
             assert np.max(np.abs(h - h.conj().T)) < 1e-14
+        # leading axes are batch axes
+        vecs = rng.normal(size=(3, 2, 16))
+        batch = hermitian_from_params(vecs, 4)
+        assert batch.shape == (3, 2, 4, 4)
+        assert np.array_equal(batch[2, 1], hermitian_from_params(vecs[2, 1], 4))
 
     def test_param_vector_round_trips_all_entries(self):
         # distinct params must produce distinct generators
@@ -85,6 +94,13 @@ class TestParametrization:
             ParamCircuit(CTRL_U, 2, 2, np.zeros(5))
         with pytest.raises(ValueError):
             ParamCircuit("bogus", 2, 2, np.zeros(128))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_param_circuit_rejects_non_finite(self, bad):
+        params = np.zeros(param_count(CTRL_U, 1, 2))
+        params[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ParamCircuit(CTRL_U, 1, 2, params)
 
     def test_slot_matrices_are_unitary(self):
         rng = np.random.default_rng(1)
@@ -228,6 +244,101 @@ class TestWorstCaseFidelity:
         assert abs(ref - fast) < 1e-14
 
 
+def params_from_hermitian(h):
+    """Inverse of hermitian_from_params."""
+    iu = np.triu_indices(h.shape[0], k=1)
+    return np.concatenate([np.real(np.diag(h)), h[iu].real, h[iu].imag])
+
+
+def random_problem(kind, a, d, count, seed):
+    rng = np.random.default_rng(seed)
+    samples = draw_samples(kind, d, count, rng)
+    return rng, samples, _prepare_samples(kind, a, samples)
+
+
+class TestBatchedKernel:
+    def test_slot_gates_match_expm(self):
+        # spectral norm 10 with a generic, a degenerate and a fully
+        # degenerate spectrum, and the zero generator
+        rng = np.random.default_rng(20)
+        dim = 8
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        generic = (g + g.conj().T) / 2
+        generic *= 10 / np.linalg.norm(generic, 2)
+        q = haar_unitary(dim, rng).entries
+        degenerate = q @ np.diag([-10.0, -10, -10, 2.5, 2.5, 7, 7, 7]) @ q.conj().T
+        degenerate = (degenerate + degenerate.conj().T) / 2
+        gens = [generic, degenerate, 10 * np.eye(dim), np.zeros((dim, dim))]
+        points = np.stack(
+            [np.concatenate([params_from_hermitian(h) for h in pair]) for pair in (gens[:2], gens[2:])]
+        )
+        slots = _slot_matrices(CTRL_U, dim, points)
+        assert slots.shape == (2, 2, dim, dim)
+        for k, h in enumerate(gens):
+            want = expm(1j * h)
+            assert np.max(np.abs(slots[k // 2, k % 2] - want)) < 1e-12
+
+    @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
+    @pytest.mark.parametrize("a,d", [(2, 2), (1, 1)])
+    def test_batch_equals_single_calls_and_reference(self, kind, a, d):
+        rng, samples, prepared = random_problem(kind, a, d, 5, 21)
+        points = rng.normal(size=(6, param_count(kind, a, d)))
+        batch = _worst_case(kind, a, d, points, prepared)
+        assert batch.shape == (6,)
+        assert np.array_equal(batch, [_worst_case(kind, a, d, x, prepared) for x in points])
+        assert np.array_equal(
+            _worst_case(kind, a, d, points.reshape(2, 3, -1), prepared), batch.reshape(2, 3)
+        )
+        for x, value in zip(points, batch):
+            ref = worst_case_fidelity(ParamCircuit(kind, a, d, x), samples)
+            assert abs(value - ref) < 1e-13
+
+    @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
+    def test_chunked_batch_equals_one_chunk(self, kind, monkeypatch):
+        rng, _, prepared = random_problem(kind, 2, 2, 4, 22)
+        points = rng.normal(size=(7, param_count(kind, 2, 2)))
+        whole = _worst_case(kind, 2, 2, points, prepared)
+        sizes = []
+
+        def counted(kind_, full_dim, params):
+            sizes.append(len(params))
+            return _slot_matrices(kind_, full_dim, params)
+
+        monkeypatch.setattr(nogo, "_slot_matrices", counted)
+        monkeypatch.setattr(nogo, "_CHUNK_BYTES", 4096)
+        chunked = _worst_case(kind, 2, 2, points, prepared)
+        assert len(sizes) > 2 and sum(sizes) == 7
+        assert np.array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
+    @pytest.mark.parametrize("budget", [None, 4096])
+    def test_fd_gradient_equals_per_coordinate_loop(self, kind, budget, monkeypatch):
+        if budget is not None:  # points in several blocks and chunks
+            monkeypatch.setattr(nogo, "_CHUNK_BYTES", budget)
+        rng, _, prepared = random_problem(kind, 1, 2, 4, 23)
+        n = param_count(kind, 1, 2)
+
+        def f(x):
+            return _worst_case(kind, 1, 2, x, prepared)
+
+        x = rng.normal(scale=0.3, size=n)
+        step = 1e-6
+        want = np.zeros(n)
+        for i in range(n):
+            xp = x.copy()
+            xp[i] += step
+            want[i] = (f(xp) - f(x)) / step
+        assert np.array_equal(_fd_gradient(f, x, step), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_kernel_rejects_non_finite(self, bad):
+        rng, _, prepared = random_problem(CTRL_U, 1, 2, 2, 24)
+        points = rng.normal(size=(3, param_count(CTRL_U, 1, 2)))
+        points[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _worst_case(CTRL_U, 1, 2, points, prepared)
+
+
 class TestOptimize:
     def test_report_shape_and_determinism(self):
         cfg = SearchConfig(restarts=2, max_iters=60, sample_count=3, seed=5)
@@ -239,6 +350,23 @@ class TestOptimize:
         assert rep1.per_restart[0].seed == (5, 0)
         data = rep1.to_json_dict()
         assert set(data) == {"kind", "dims", "config", "best_worst_case_fidelity", "restarts"}
+
+    # Per-restart (iterations, fevals, converged, value) of this config.
+    # Faster arithmetic must leave the search's work unchanged and move
+    # the values by rounding only; a new optimizer updates the pin.
+    PIN = {
+        CTRL_U: [(8, 1049, False, 0.5147085383509795), (21, 2759, False, 0.6663594926911504)],
+        SWITCH: [(11, 2076, False, 0.9756407687869912), (26, 5019, False, 0.7283357300894077)],
+    }
+
+    @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
+    def test_regression_pin(self, kind):
+        cfg = SearchConfig(restarts=2, max_iters=60, sample_count=3, seed=5)
+        rep = optimize(kind, cfg)
+        assert len(rep.per_restart) == len(self.PIN[kind])
+        for got, (iterations, fevals, converged, value) in zip(rep.per_restart, self.PIN[kind]):
+            assert (got.iterations, got.fevals, got.converged) == (iterations, fevals, converged)
+            assert abs(got.value - value) < 1e-4
 
     def test_known_oracle_is_reachable(self):
         cfg = SearchConfig(restarts=1, max_iters=50, sample_count=1, seed=3)
