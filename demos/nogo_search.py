@@ -6,9 +6,10 @@
 # maximize the worst-case process fidelity against the controlled
 # target 1 (+) U over a fixed set of Haar samples. The search can be
 # run as hard as you like; the worst case stays bounded away from 1.
-# The same metric scores the direct-sum construction at exactly 1, and
-# a known (fixed) oracle is also reachable, so the gap is genuinely
-# about U being unknown, not about the metric or the optimizer.
+# The same metric scores the direct-sum constructions, the photonic
+# networks and the ion pulse sequences, at exactly 1, and a known
+# (fixed) oracle is also reachable, so the gap is genuinely about U
+# being unknown, not about the metric or the optimizer.
 
 import numpy as np
 
@@ -38,6 +39,6 @@ known = optimize(
 )
 print("  best fidelity =", known.best_worst_case_fidelity, " (reachable: U is not unknown)")
 
-print("\nphysical constructions on the same metric:")
-print("  minimum interferometer fidelity over 32 Haar samples =",
-      oracle_sanity(sample_count=32, internal_dim=2, seed=7))
+print("\nphysical constructions on the same metric (process fidelity):")
+print("  minimum over the ctrl-u and switch interferometers and ion sequences,")
+print("  32 Haar samples each =", oracle_sanity(sample_count=32, internal_dim=2, seed=7))

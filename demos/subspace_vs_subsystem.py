@@ -21,7 +21,6 @@ from ctrlsim.hilbert import (
     partial_trace,
     subspace_embed,
     subsystem_embed,
-    tensor,
 )
 from ctrlsim.photonic import Device, two_photon_product, two_photon_space
 

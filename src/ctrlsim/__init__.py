@@ -3,7 +3,8 @@
 Subpackages by concern:
 
 * :mod:`ctrlsim.hilbert` - composite spaces, states, operators,
-  embeddings, fidelities, projective measurement, Haar sampling.
+  subsystem and direct-sum embeddings, fidelities, partial trace, Haar
+  sampling.
 * :mod:`ctrlsim.photonic` - single-photon interferometers: the control
   and order-control networks, the monitored (collapsing) device, the
   two-photon product construction.
@@ -22,24 +23,20 @@ from .hilbert import (
     DensityMatrix,
     DirectSumBlock,
     HilbertSpace,
-    MeasurementOutcome,
     Operator,
     StateVector,
-    Subsystem,
     apply,
     basis_state,
     fidelity_mixed,
     fidelity_pure,
     haar_unitary,
     is_unitary,
-    measure_projective,
     partial_trace,
     product_state,
     random_state,
     random_unit_vector,
     subspace_embed,
     subsystem_embed,
-    tensor,
 )
 
 __all__ = [
@@ -47,10 +44,8 @@ __all__ = [
     "DensityMatrix",
     "DirectSumBlock",
     "HilbertSpace",
-    "MeasurementOutcome",
     "Operator",
     "StateVector",
-    "Subsystem",
     "__version__",
     "apply",
     "basis_state",
@@ -58,12 +53,10 @@ __all__ = [
     "fidelity_pure",
     "haar_unitary",
     "is_unitary",
-    "measure_projective",
     "partial_trace",
     "product_state",
     "random_state",
     "random_unit_vector",
     "subspace_embed",
     "subsystem_embed",
-    "tensor",
 ]

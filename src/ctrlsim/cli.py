@@ -32,7 +32,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, ion, nogo, photonic
-from .hilbert import Operator, StateVector, fidelity_mixed, fidelity_pure, haar_unitary
+from .hilbert import Operator, fidelity_mixed, fidelity_pure, haar_unitary
 
 _PAULI = {
     "i": np.eye(2),
@@ -43,10 +43,6 @@ _PAULI = {
     "s": np.diag([1, 1j]),
     "t": np.diag([1, np.exp(1j * np.pi / 4)]),
 }
-
-PHOTONIC_PRESETS = ("ctrl-u", "ctrl-u-monitored", "ctrl-switch")
-ION_PRESETS = ("ion-ctrl-u", "ion-ctrl-switch")
-
 
 def parse_gate_spec(text: str, dim: int = 2) -> Operator:
     """Parse a gate description into a unitary operator.
@@ -154,8 +150,8 @@ def _parse_psi(text: str | None, dim: int) -> np.ndarray:
     return psi
 
 
-def _collect_bindings(args, slots, dim: int) -> dict[str, Operator]:
-    """Map slot names to parsed gates from --u/--uf/--ug/--bind."""
+def _collect_bindings(args, slots, dim: int) -> tuple[dict[str, str], dict[str, Operator]]:
+    """Map slot names to their specs and parsed gates from --u/--uf/--ug/--bind."""
     specs: dict[str, str] = {}
     for entry in args.bind or []:
         slot, eq, spec = entry.partition("=")
@@ -169,63 +165,55 @@ def _collect_bindings(args, slots, dim: int) -> dict[str, Operator]:
     missing = set(slots) - set(specs)
     if missing:
         raise ValueError(f"missing gate bindings for slots: {sorted(missing)}")
-    return {slot: parse_gate_spec(specs[slot], dim) for slot in slots}
+    return (
+        {slot: specs[slot] for slot in slots},
+        {slot: parse_gate_spec(specs[slot], dim) for slot in slots},
+    )
 
 
-def _photonic_target(scheme: str, net, alpha, beta, psi, bindings) -> StateVector:
-    if scheme == "ctrl-switch":
-        uf, ug = bindings["Uf"].entries, bindings["Ug"].entries
-        block = np.concatenate([alpha * (ug @ uf @ psi), beta * (uf @ ug @ psi)])
-    else:
-        u = bindings["U"].entries
-        block = np.concatenate([alpha * psi, beta * (u @ psi)])
-    return photonic.place_on_path(net.space, net.output_path, block)
+# preset name -> (scheme family, builder, kind of the analytic target)
+PRESETS = {
+    "ctrl-u": ("photonic", photonic.preset_ctrl_u, nogo.CTRL_U),
+    "ctrl-u-monitored": ("photonic", photonic.preset_ctrl_u_monitored, nogo.CTRL_U),
+    "ctrl-switch": ("photonic", photonic.preset_ctrl_switch, nogo.SWITCH),
+    "ion-ctrl-u": ("ion", ion.seq_ctrl_u, nogo.CTRL_U),
+    "ion-ctrl-switch": ("ion", ion.seq_ctrl_switch, nogo.SWITCH),
+}
 
 
-def _ion_target(scheme: str, space, alpha, beta, psi, bindings) -> StateVector:
-    amps = np.zeros(space.total_dim, dtype=complex)
-    if scheme == "ion-ctrl-switch":
-        uf, ug = bindings["Uf"].entries, bindings["Ug"].entries
-        b_g, b_e = alpha * (ug @ uf @ psi), beta * (uf @ ug @ psi)
-    else:
-        u = bindings["U"].entries
-        b_g, b_e = alpha * psi, beta * (u @ psi)
-    for lv2 in (ion.G, ion.E):
-        amps[space.flat(ion.G, lv2, 0)] = b_g[lv2]
-        amps[space.flat(ion.E, lv2, 0)] = b_e[lv2]
-    return StateVector(space.hilbert, amps)
+def _build_preset(args):
+    """(family, scheme, target kind) of ``--preset``; photonic presets
+    take ``--dim`` (default 2), ion presets always have a qubit system."""
+    family, build, kind = PRESETS[args.preset]
+    scheme = build(2 if args.dim is None else args.dim) if family == "photonic" else build()
+    return family, scheme, kind
 
 
-def _run_photonic(args, net, scheme_id: str, known_preset: str | None) -> tuple[dict, int]:
-    dim = net.space.internal_dim
-    bindings = _collect_bindings(args, sorted(net.slots), dim)
+def _run(args, family: str, scheme, scheme_id: str, kind: str | None) -> tuple[dict, int]:
+    dim, make_input, place_out, propagate = nogo.logical_map(scheme, fock_cutoff=args.fock)
+    if args.dim is not None and args.dim != dim:
+        raise ValueError(f"--dim {args.dim} disagrees with the scheme's system dimension {dim}")
+    specs, bindings = _collect_bindings(args, sorted(scheme.slots), dim)
     alpha, beta = _control_amps(args)
     psi = _parse_psi(args.psi, dim)
-    inp = photonic.photon_input(net.space, net.input_path, (alpha, beta), psi)
 
     rng = np.random.default_rng(args.seed) if args.sample else None
-    outcome = photonic.propagate(net, inp, bindings, rng=rng)
+    outcome = propagate(make_input((alpha, beta), psi), bindings, rng=rng)
 
     target = None
-    if known_preset in ("ctrl-u", "ctrl-u-monitored", "ctrl-switch"):
-        target = _photonic_target(
-            "ctrl-switch" if known_preset == "ctrl-switch" else "ctrl-u",
-            net, alpha, beta, psi, bindings,
-        )
+    if kind is not None:
+        oracle = bindings["U"] if kind == nogo.CTRL_U else (bindings["Uf"], bindings["Ug"])
+        m0, m1 = nogo.control_branches(kind, oracle)
+        target = place_out(np.concatenate([alpha * (m0 @ psi), beta * (m1 @ psi)]))
 
-    thresholded = True
-    if isinstance(outcome, photonic.PureOutcome):
-        output = {"kind": "pure", "amplitudes": _complex_pairs(outcome.state.amps)}
-        fidelity = fidelity_pure(outcome.state, target) if target is not None else None
-    elif isinstance(outcome, photonic.MixedOutcome):
+    if isinstance(outcome, photonic.MixedOutcome):
         output = {
             "kind": "mixed",
             "density_matrix": _matrix_pairs(outcome.rho.entries),
             "branch_probabilities": [b.probability for b in outcome.branches],
         }
         fidelity = fidelity_mixed(outcome.rho, target) if target is not None else None
-        thresholded = False
-    else:
+    elif isinstance(outcome, photonic.SampledOutcome):
         output = {
             "kind": "sampled",
             "outcome": outcome.outcome,
@@ -233,87 +221,33 @@ def _run_photonic(args, net, scheme_id: str, known_preset: str | None) -> tuple[
             "amplitudes": _complex_pairs(outcome.state.amps),
         }
         fidelity = None
-        thresholded = False
+    else:
+        output = {"kind": "pure", "amplitudes": _complex_pairs(outcome.state.amps)}
+        fidelity = fidelity_pure(outcome.state, target) if target is not None else None
 
+    size = {"internal_dim": dim} if family == "photonic" else {"fock_cutoff": args.fock}
     report = {
         "scheme": scheme_id,
-        "bindings": {s: spec for s, spec in _binding_echo(args, net.slots).items()},
+        "bindings": specs,
         "input": {
             "alpha": [alpha.real, alpha.imag],
             "beta": [beta.real, beta.imag],
             "psi": _complex_pairs(psi),
-            "internal_dim": dim,
+            **size,
         },
-        "slots": net.slot_info(),
+        "slots": scheme.slot_info(),
         "output": output,
         "fidelity": fidelity,
         "seed": args.seed,
         "version": __version__,
     }
-    if fidelity is not None and thresholded and fidelity < 1.0 - args.tolerance:
+    if family == "ion":
+        report["ground_mode"] = ion.assert_ground_mode(outcome.state, 1e-12)
+    # only a pure output is held to the threshold, not an ensemble or a shot
+    failed = fidelity is not None and fidelity < 1.0 - args.tolerance
+    if failed and isinstance(outcome, photonic.PureOutcome):
         return report, 1
     return report, 0
-
-
-def _run_ion(args, seq, scheme_id: str, known_preset: str | None) -> tuple[dict, int]:
-    space = ion.TrapSpace(fock_cutoff=args.fock)
-    bindings = _collect_bindings(args, sorted(seq.slots), 2)
-    alpha, beta = _control_amps(args)
-    psi = _parse_psi(args.psi, 2)
-    init = ion.ion_input(space, (alpha, beta), psi)
-    final, _ = ion.run_sequence(seq, init, bindings, space=space)
-
-    target = None
-    if known_preset in ION_PRESETS:
-        target = _ion_target(known_preset, space, alpha, beta, psi, bindings)
-    fidelity = fidelity_pure(final, target) if target is not None else None
-
-    report = {
-        "scheme": scheme_id,
-        "bindings": {s: spec for s, spec in _binding_echo(args, seq.slots).items()},
-        "input": {
-            "alpha": [alpha.real, alpha.imag],
-            "beta": [beta.real, beta.imag],
-            "psi": _complex_pairs(psi),
-            "fock_cutoff": args.fock,
-        },
-        "slots": seq.slot_info(),
-        "output": {"kind": "pure", "amplitudes": _complex_pairs(final.amps)},
-        "fidelity": fidelity,
-        "ground_mode": ion.assert_ground_mode(final, 1e-12),
-        "seed": args.seed,
-        "version": __version__,
-    }
-    if fidelity is not None and fidelity < 1.0 - args.tolerance:
-        return report, 1
-    return report, 0
-
-
-def _binding_echo(args, slots) -> dict[str, str]:
-    echo = {}
-    sugar = {"U": args.u, "Uf": args.uf, "Ug": args.ug}
-    for entry in args.bind or []:
-        slot, _, spec = entry.partition("=")
-        if slot in slots:
-            echo[slot] = spec
-    for slot, spec in sugar.items():
-        if slot in slots and spec is not None:
-            echo[slot] = spec
-    return echo
-
-
-def _build_preset(name: str, dim: int):
-    if name == "ctrl-u":
-        return photonic.preset_ctrl_u(dim)
-    if name == "ctrl-u-monitored":
-        return photonic.preset_ctrl_u_monitored(dim)
-    if name == "ctrl-switch":
-        return photonic.preset_ctrl_switch(dim)
-    if name == "ion-ctrl-u":
-        return ion.seq_ctrl_u()
-    if name == "ion-ctrl-switch":
-        return ion.seq_ctrl_switch()
-    raise ValueError(f"unknown preset {name!r}")
 
 
 def _cmd_run(args) -> int:
@@ -325,19 +259,15 @@ def _cmd_run(args) -> int:
     if sum(s is not None for s in sources) != 1:
         raise ValueError("need exactly one of --preset, --scheme, --sequence")
     if args.preset is not None:
-        built = _build_preset(args.preset, args.dim)
-        if args.preset in ION_PRESETS:
-            report, code = _run_ion(args, built, args.preset, args.preset)
-        else:
-            report, code = _run_photonic(args, built, args.preset, args.preset)
-    elif args.scheme is not None:
-        with open(args.scheme) as fh:
-            net = photonic.Network.from_json(fh.read())
-        report, code = _run_photonic(args, net, args.scheme, None)
+        family, scheme, kind = _build_preset(args)
+        report, code = _run(args, family, scheme, args.preset, kind)
     else:
-        with open(args.sequence) as fh:
-            seq = ion.PulseSequence.from_json(fh.read())
-        report, code = _run_ion(args, seq, args.sequence, None)
+        family = "photonic" if args.scheme is not None else "ion"
+        path = args.scheme if family == "photonic" else args.sequence
+        load = photonic.Network.from_json if family == "photonic" else ion.PulseSequence.from_json
+        with open(path) as fh:
+            scheme = load(fh.read())
+        report, code = _run(args, family, scheme, path, None)
     _write_json(report, args.out)
     return code
 
@@ -358,12 +288,10 @@ def _cmd_nogo(args) -> int:
 
 
 def _cmd_emit_scheme(args) -> int:
-    built = _build_preset(args.preset, args.dim)
-    if args.preset in ION_PRESETS:
-        payload = built.to_json_list()
-    else:
-        payload = built.to_json_dict()
-    _write_json(payload, args.out)
+    family, scheme, _ = _build_preset(args)
+    if family == "ion" and args.dim not in (None, 2):
+        raise ValueError(f"--dim {args.dim} disagrees with the ion system dimension 2")
+    _write_json(scheme.to_json_dict() if family == "photonic" else scheme.to_json_list(), args.out)
     return 0
 
 
@@ -375,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a preset or a scheme/sequence file")
-    run.add_argument("--preset", choices=PHOTONIC_PRESETS + ION_PRESETS)
+    run.add_argument("--preset", choices=PRESETS)
     run.add_argument("--scheme", help="photonic network JSON file")
     run.add_argument("--sequence", help="ion pulse-sequence JSON file")
     run.add_argument("--u", help="gate spec for slot U")
@@ -386,7 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--beta", type=float, default=1 / np.sqrt(2))
     run.add_argument("--beta-phase", type=float, default=0.0, help="radians")
     run.add_argument("--psi", help="system amplitudes re,im,re,im,...")
-    run.add_argument("--dim", type=int, default=2, help="photonic internal dimension")
+    run.add_argument(
+        "--dim", type=int, help="system dimension: photonic presets default 2, files and ion fixed"
+    )
     run.add_argument("--fock", type=int, default=3, help="ion vibrational cutoff")
     run.add_argument("--sample", action="store_true", help="sample one monitored branch")
     run.add_argument("--seed", type=int, default=0)
@@ -406,8 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ng.set_defaults(func=_cmd_nogo)
 
     emit = sub.add_parser("emit-scheme", help="write a preset scheme/sequence file")
-    emit.add_argument("--preset", choices=PHOTONIC_PRESETS + ION_PRESETS, required=True)
-    emit.add_argument("--dim", type=int, default=2)
+    emit.add_argument("--preset", choices=PRESETS, required=True)
+    emit.add_argument("--dim", type=int, help="photonic internal dimension (default 2; ion: 2)")
     emit.add_argument("--out", help="file path (default stdout)")
     emit.set_defaults(func=_cmd_emit_scheme)
     return parser

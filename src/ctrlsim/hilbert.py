@@ -110,10 +110,6 @@ class StateVector:
         self.space = space
         self.amps = amps
 
-    def overlap(self, other: "StateVector") -> complex:
-        _require_same_space(self.space, other.space)
-        return complex(np.vdot(self.amps, other.amps))
-
     def outer(self) -> "DensityMatrix":
         """Rank-one density matrix ``|psi><psi|``."""
         return DensityMatrix(self.space, np.outer(self.amps, self.amps.conj()))
@@ -189,10 +185,6 @@ class DensityMatrix:
         self.entries = m
 
     @classmethod
-    def from_state(cls, psi: StateVector) -> "DensityMatrix":
-        return psi.outer()
-
-    @classmethod
     def mixture(
         cls, branches: Iterable[tuple[float, StateVector]]
     ) -> "DensityMatrix":
@@ -212,13 +204,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(labels={self.space.labels}, dim={self.space.total_dim})"
-
-
-@dataclass(frozen=True)
-class Subsystem:
-    """Embedding target: one tensor factor of a composite space."""
-
-    slot: str
 
 
 @dataclass(frozen=True)
@@ -246,31 +231,21 @@ class DirectSumBlock:
         object.__setattr__(self, "total_dim", total_dim)
 
 
-SubspaceEmbedding = Subsystem | DirectSumBlock
+def _json_field(obj, key: str, kind: type, items: type | None = None):
+    """``obj[key]`` of a parsed JSON object, of type ``kind`` (an array's
+    entries of type ``items``); any other shape raises ``ValueError``."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object with field {key!r}, got {obj!r}")
+    value = obj[key]
+    entries = value if items is not None and type(value) is list else ()
+    if type(value) is not kind or any(type(v) is not items for v in entries):
+        raise ValueError(f"field {key!r} has the wrong JSON type: {value!r}")
+    return value
 
 
 def _require_same_space(a: HilbertSpace, b: HilbertSpace) -> None:
     if a.factors != b.factors:
         raise ValueError(f"space mismatch: {a.factors} vs {b.factors}")
-
-
-def tensor(a, b):
-    """Kronecker product of two operators or two states.
-
-    The left argument supplies the slower-varying (leftmost) indices.
-    For states the result lives on the concatenation of both factor
-    lists, so labels must not collide.
-    """
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(
-            np.kron(a.entries, b.entries),
-            a.claims_unitary and b.claims_unitary,
-            tol=1e-8,
-        )
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        space = HilbertSpace(a.space.factors + b.space.factors)
-        return StateVector(space, np.kron(a.amps, b.amps))
-    raise TypeError("tensor expects two Operators or two StateVectors")
 
 
 def subsystem_embed(u: Operator, space: HilbertSpace, slot: str) -> Operator:
@@ -305,17 +280,6 @@ def subspace_embed(u: Operator, emb: DirectSumBlock) -> Operator:
     idx = np.array(emb.block_indices)
     full[np.ix_(idx, idx)] = u.entries
     return Operator(full, u.claims_unitary, tol=1e-8)
-
-
-def embed_operator(
-    u: Operator, emb: SubspaceEmbedding, space: HilbertSpace | None = None
-) -> Operator:
-    """Dispatch on the embedding kind (subsystem vs direct-sum block)."""
-    if isinstance(emb, Subsystem):
-        if space is None:
-            raise ValueError("subsystem embedding requires the target space")
-        return subsystem_embed(u, space, emb.slot)
-    return subspace_embed(u, emb)
 
 
 def apply(op: Operator, psi: StateVector) -> StateVector:
@@ -369,56 +333,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     kept_factors = [f for f in rho.space.factors if f[0] in keep_set]
     sub = HilbertSpace(kept_factors)
     return DensityMatrix(sub, reduced.reshape(sub.total_dim, sub.total_dim))
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    outcome: int
-    state: StateVector
-    probability: float
-
-
-def measure_projective(
-    psi: StateVector,
-    projectors: Sequence[Operator],
-    rng: np.random.Generator,
-    tol: float = DEFAULT_TOL,
-) -> MeasurementOutcome:
-    """Sample a projective measurement with Born probabilities.
-
-    The projectors must be Hermitian, idempotent and sum to the
-    identity (each within ``tol``).  Sampling is deterministic for a
-    fixed generator state; the post-measurement state is renormalized.
-    """
-    dim = psi.space.total_dim
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for p in projectors:
-        m = p.entries
-        if m.shape != (dim, dim):
-            raise ValueError("projector dimension does not match the state")
-        # comparisons written to fail on NaN
-        if not np.max(np.abs(m - m.conj().T)) <= tol:
-            raise ValueError("projector is not Hermitian")
-        if not np.max(np.abs(m @ m - m)) <= tol:
-            raise ValueError("projector is not idempotent")
-        total += m
-    if not np.max(np.abs(total - np.eye(dim))) <= tol:
-        raise ValueError("incomplete projector set: sum differs from identity")
-
-    probs = np.array(
-        [max(0.0, float(np.real(np.vdot(psi.amps, p.entries @ psi.amps)))) for p in projectors]
-    )
-    u = float(rng.random())
-    acc = 0.0
-    outcome = int(np.argmax(probs))  # fallback if u lands beyond cumulative sum
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            outcome = k
-            break
-    post = projectors[outcome].entries @ psi.amps
-    post = post / np.sqrt(probs[outcome])
-    return MeasurementOutcome(outcome, StateVector(psi.space, post), float(probs[outcome]))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> Operator:

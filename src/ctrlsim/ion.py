@@ -26,7 +26,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .hilbert import HilbertSpace, Operator, StateVector
+from .hilbert import HilbertSpace, Operator, StateVector, _json_field
 
 G, E, GP, EP = 0, 1, 2, 3
 LEVEL_NAMES = ("g", "e", "g'", "e'")
@@ -52,9 +52,6 @@ class TrapSpace:
 
     def flat(self, ion1: int, ion2: int, n: int) -> int:
         return (ion1 * 4 + ion2) * self.fock_cutoff + n
-
-
-TrapState = StateVector
 
 
 @dataclass(frozen=True)
@@ -204,17 +201,20 @@ class PulseSequence:
 
     @classmethod
     def from_json_list(cls, entries) -> "PulseSequence":
+        if type(entries) is not list:
+            raise ValueError(f"pulse sequence must be a JSON array, got {entries!r}")
         pulses: list[Pulse] = []
         for entry in entries:
-            kind = entry["type"]
+            kind = _json_field(entry, "type", str)
+            ion = _json_field(entry, "ion", int)
             if kind == "sideband_swap":
-                pulses.append(SidebandSwap(int(entry["ion"])))
+                pulses.append(SidebandSwap(ion))
             elif kind == "hiding":
-                pulses.append(Hiding(int(entry["ion"]), entry["which"]))
+                pulses.append(Hiding(ion, entry["which"]))
             elif kind == "carrier":
-                pulses.append(Carrier(int(entry["ion"]), entry["slot"]))
+                pulses.append(Carrier(ion, _json_field(entry, "slot", str)))
             elif kind == "sigma_x":
-                pulses.append(SigmaX(int(entry["ion"]), entry["which"]))
+                pulses.append(SigmaX(ion, entry["which"]))
             else:
                 raise ValueError(f"unknown pulse type {kind!r}")
         return cls(pulses)
@@ -229,10 +229,10 @@ class PulseSequence:
 
 def run_sequence(
     seq: PulseSequence,
-    init: TrapState,
+    init: StateVector,
     bindings: Mapping[str, Operator] | None = None,
     space: TrapSpace | None = None,
-) -> tuple[TrapState, list[TrapState]]:
+) -> tuple[StateVector, list[StateVector]]:
     """Apply the pulses in order, recording the state after each one."""
     if space is None:
         n = init.space.dim_of("mode")
@@ -241,7 +241,7 @@ def run_sequence(
         raise ValueError("initial state does not live on the trap space")
     cache: dict[Pulse, np.ndarray] = {}
     state = np.array(init.amps)
-    trace: list[TrapState] = []
+    trace: list[StateVector] = []
     for p in seq.pulses:
         if p not in cache:
             cache[p] = pulse_unitary(p, space, bindings).entries
@@ -301,7 +301,7 @@ def seq_ctrl_switch() -> PulseSequence:
     )
 
 
-def assert_ground_mode(state: TrapState, tol: float) -> bool:
+def assert_ground_mode(state: StateVector, tol: float) -> bool:
     """True iff the population of vibrational occupations n >= 1 is
     at most ``tol``."""
     if tol <= 0:
@@ -311,12 +311,20 @@ def assert_ground_mode(state: TrapState, tol: float) -> bool:
     return excited <= tol
 
 
-def ion_input(space: TrapSpace, control_amps, system_amps) -> TrapState:
+def place_logical(space: TrapSpace, control_system) -> StateVector:
+    """State with the logical (control, system) vector on the electronic
+    qubits of ion 1 and ion 2, the mode in n = 0: amplitude ``2c + s`` of
+    ``control_system`` sits at ``space.flat(c, s, 0)``."""
+    block = np.asarray(control_system, dtype=np.complex128).reshape(-1)
+    if block.shape != (4,):
+        raise ValueError("logical (control, system) vector must have length 4")
+    amps = np.zeros(space.total_dim, dtype=np.complex128)
+    amps[[space.flat(c, s, 0) for c in (G, E) for s in (G, E)]] = block
+    return StateVector(space.hilbert, amps)
+
+
+def ion_input(space: TrapSpace, control_amps, system_amps) -> StateVector:
     """Initial state (alpha |g> + beta |e>)_1 |psi>_2 |0>."""
     alpha, beta = np.asarray(control_amps, dtype=np.complex128)
     a, b = np.asarray(system_amps, dtype=np.complex128)
-    amps = np.zeros(space.total_dim, dtype=np.complex128)
-    for lv1, c in ((G, alpha), (E, beta)):
-        for lv2, s in ((G, a), (E, b)):
-            amps[space.flat(lv1, lv2, 0)] = c * s
-    return StateVector(space.hilbert, amps)
+    return place_logical(space, [c * s for c in (alpha, beta) for s in (a, b)])

@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 from scipy.optimize import minimize
 
-from .hilbert import Operator, fidelity_pure, haar_unitary, random_unit_vector
-from . import photonic
+from . import ion, photonic
+from .hilbert import Operator, haar_unitary
 
 CTRL_U = "ctrl_u"
 SWITCH = "switch"
@@ -225,23 +225,26 @@ def choi_of_unitary(u: Operator) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def target_unitary(kind: str, oracle) -> Operator:
-    """Controlled operation on (control, system) the circuit should
-    reproduce: identity / U for ``ctrl_u``, the two orderings for
-    ``switch``, block-diagonal in the control basis."""
+def control_branches(kind: str, oracle) -> tuple[np.ndarray, np.ndarray]:
+    """The two control-branch operators of the controlled target:
+    ``(1, U)`` for ``ctrl_u`` and ``(Ug Uf, Uf Ug)`` for ``switch``.
+
+    The controlled target applies the first to the system when the
+    control is |0> and the second when it is |1>.
+    """
     _check_kind(kind)
     entries = _oracle_entries(kind, oracle)
-    d = entries[0].shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     if kind == CTRL_U:
         (u,) = entries
-        out[:d, :d] = np.eye(d)
-        out[d:, d:] = u
-    else:
-        uf, ug = entries
-        out[:d, :d] = ug @ uf
-        out[d:, d:] = uf @ ug
-    return Operator(out, tol=1e-8)
+        return np.eye(u.shape[0]), u
+    uf, ug = entries
+    return ug @ uf, uf @ ug
+
+
+def target_unitary(kind: str, oracle) -> Operator:
+    """Controlled operation on (control, system) the circuit should
+    reproduce: :func:`control_branches` as diagonal blocks."""
+    return Operator(block_diag(*control_branches(kind, oracle)), tol=1e-8)
 
 
 def process_fidelity(choi: np.ndarray, target: Operator) -> float:
@@ -531,36 +534,73 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
     )
 
 
-def oracle_sanity(sample_count: int = 32, internal_dim: int = 2, seed: int = 1234) -> float:
-    """Minimum output fidelity of the photonic constructions.
+def logical_map(scheme, fock_cutoff: int = 3) -> tuple:
+    """How a photonic network or an ion pulse sequence meets the logical
+    (control, system) space: ``(dim, make_input, place_out, propagate)``.
 
-    Runs the control and the order-control interferometers on Haar
-    samples with random inputs and compares against the exact target
-    states.  The direct-sum realizations are exact, so the result must
-    be 1 up to rounding.
+    ``dim`` is the system dimension, ``make_input(control_amps,
+    system_amps)`` the input state, ``place_out(vector)`` puts a logical
+    vector of length ``2 * dim`` on the output side, and
+    ``propagate(input, bindings, rng=None)`` returns the outcome.  A
+    photon enters and leaves on the network's input and output paths;
+    the ions carry the logical qubits with the mode, truncated at
+    ``fock_cutoff``, in n = 0, and their final ket is a ``PureOutcome``.
+    """
+    if isinstance(scheme, photonic.Network):
+        space = scheme.space
+        return (
+            space.internal_dim,
+            partial(photonic.photon_input, space, scheme.input_path),
+            partial(photonic.place_on_path, space, scheme.output_path),
+            partial(photonic.propagate, scheme),
+        )
+    space = ion.TrapSpace(fock_cutoff=fock_cutoff)
+
+    def propagate(init, bindings, rng=None):
+        return photonic.PureOutcome(ion.run_sequence(scheme, init, bindings, space=space)[0])
+
+    return 2, partial(ion.ion_input, space), partial(ion.place_logical, space), propagate
+
+
+def _logical_block(scheme, bindings) -> np.ndarray:
+    """A scheme's restriction to the logical (control, system) space, as
+    a ``2d x 2d`` matrix: column ``(c, s)`` is the logical output of the
+    logical basis input ``|c>|s>``."""
+    dim, make_input, place_out, propagate = logical_map(scheme)
+    outputs = np.array([
+        propagate(make_input(c, s), bindings).state.amps for c in np.eye(2) for s in np.eye(dim)
+    ])
+    readout = np.array([place_out(e).amps for e in np.eye(2 * dim)])
+    return readout.conj() @ outputs.T
+
+
+def _scheme_fidelity(kind: str, scheme, oracle) -> float:
+    """Process fidelity of a scheme's logical block against
+    :func:`target_unitary`, with its slots bound to ``oracle``."""
+    bindings = {"U": oracle} if kind == CTRL_U else dict(zip(("Uf", "Ug"), oracle))
+    block = Operator(_logical_block(scheme, bindings), claims_unitary=False)
+    return process_fidelity(choi_of_unitary(block), target_unitary(kind, oracle))
+
+
+def oracle_sanity(sample_count: int = 32, internal_dim: int = 2, seed: int = 1234) -> float:
+    """Minimum process fidelity of the photonic and ion constructions.
+
+    For each sample, the photonic control and order-control networks at
+    ``internal_dim`` and both ion sequences (qubit system) are bound to
+    fresh Haar unitaries and scored by :func:`_scheme_fidelity`, the same
+    metric the search maximizes.  The direct-sum realizations are exact,
+    so the result must be 1 up to rounding.
     """
     rng = np.random.default_rng(seed)
-    d = internal_dim
-    net_u = photonic.preset_ctrl_u(d)
-    net_sw = photonic.preset_ctrl_switch(d)
+    schemes = (
+        (CTRL_U, internal_dim, photonic.preset_ctrl_u(internal_dim)),
+        (SWITCH, internal_dim, photonic.preset_ctrl_switch(internal_dim)),
+        (CTRL_U, 2, ion.seq_ctrl_u()),
+        (SWITCH, 2, ion.seq_ctrl_switch()),
+    )
     worst = 1.0
     for _ in range(sample_count):
-        alpha, beta = random_unit_vector(2, rng)
-        psi = random_unit_vector(d, rng)
-
-        u = haar_unitary(d, rng)
-        inp = photonic.photon_input(net_u.space, net_u.input_path, (alpha, beta), psi)
-        out = photonic.propagate(net_u, inp, {"U": u})
-        block = np.concatenate([alpha * psi, beta * (u.entries @ psi)])
-        want = photonic.place_on_path(net_u.space, net_u.output_path, block)
-        worst = min(worst, fidelity_pure(out.state, want))
-
-        uf, ug = haar_unitary(d, rng), haar_unitary(d, rng)
-        inp = photonic.photon_input(net_sw.space, net_sw.input_path, (alpha, beta), psi)
-        out = photonic.propagate(net_sw, inp, {"Uf": uf, "Ug": ug})
-        block = np.concatenate(
-            [alpha * (ug.entries @ uf.entries @ psi), beta * (uf.entries @ ug.entries @ psi)]
-        )
-        want = photonic.place_on_path(net_sw.space, net_sw.output_path, block)
-        worst = min(worst, fidelity_pure(out.state, want))
+        for kind, d, scheme in schemes:
+            (oracle,) = draw_samples(kind, d, 1, rng)
+            worst = min(worst, _scheme_fidelity(kind, scheme, oracle))
     return worst

@@ -34,6 +34,7 @@ from .hilbert import (
     HilbertSpace,
     Operator,
     StateVector,
+    _json_field,
     subspace_embed,
 )
 
@@ -232,23 +233,28 @@ class Network:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Network":
-        space = PhotonicSpace(data["space"]["paths"], data["space"]["internal_dim"])
+        space = _json_field(data, "space", dict)
+        space = PhotonicSpace(
+            _json_field(space, "paths", list, str), _json_field(space, "internal_dim", int)
+        )
         stages: list[Element] = []
-        for entry in data["stages"]:
-            kind = entry["type"]
+        for entry in _json_field(data, "stages", list):
+            kind = _json_field(entry, "type", str)
             if kind == "pbs":
-                stages.append(PBS(entry["ports"]["in"], entry["ports"]["out"]))
+                ports = _json_field(entry, "ports", dict)
+                stages.append(PBS(*(_json_field(ports, side, list, str) for side in ("in", "out"))))
             elif kind == "hwp":
-                stages.append(HWP(entry["path"]))
-            elif kind == "device":
-                stages.append(Device(entry["path"], entry["slot"]))
-            elif kind == "monitored_device":
-                stages.append(MonitoredDevice(entry["path"], entry["slot"]))
+                stages.append(HWP(_json_field(entry, "path", str)))
+            elif kind in ("device", "monitored_device"):
+                device = Device if kind == "device" else MonitoredDevice
+                path, slot = (_json_field(entry, key, str) for key in ("path", "slot"))
+                stages.append(device(path, slot))
             elif kind == "reroute":
-                stages.append(Reroute(entry["perm"]))
+                stages.append(Reroute(_json_field(entry, "perm", dict)))
             else:
                 raise ValueError(f"unknown element type {kind!r}")
-        return cls(space, stages, data["input_path"], data["output_path"])
+        ends = [_json_field(data, end, str) for end in ("input_path", "output_path")]
+        return cls(space, stages, *ends)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -508,11 +514,6 @@ def place_on_path(space: PhotonicSpace, path: str, pol_internal) -> StateVector:
     amps = np.zeros(space.total_dim, dtype=np.complex128)
     amps[space.path_slice(path)] = block
     return StateVector(space.hilbert, amps)
-
-
-def path_block(state: StateVector, space: PhotonicSpace, path: str) -> np.ndarray:
-    """(pol, internal) amplitude block of one path."""
-    return np.array(state.amps[space.path_slice(path)])
 
 
 def preset_ctrl_u(internal_dim: int) -> Network:

@@ -166,6 +166,30 @@ class TestRunCommand:
         assert run_cli(*flags, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--preset", "ion-ctrl-u", "--dim", "3", "--u", "haar:1"],
+            ["--preset", "ion-ctrl-switch", "--dim", "1", "--uf", "i", "--ug", "i"],
+        ],
+    )
+    def test_dim_disagreeing_with_ion_preset_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert run_cli("run", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--dim" in err
+        assert not out.exists()
+
+    def test_dim_flags_the_benchmark_passes_are_accepted(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        flags = ["--u", "haar:1", "--alpha", "0.6", "--beta", "0.8"]
+        assert run_cli("run", "--preset", "ion-ctrl-u", *flags, "--out", str(a)) == 0
+        assert run_cli("run", "--preset", "ion-ctrl-u", "--dim", "2", *flags, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        c = tmp_path / "c.json"
+        assert run_cli("run", "--preset", "ctrl-u", "--fock", "5", *flags, "--out", str(c)) == 0
+        assert read_report(c)["input"]["internal_dim"] == 2
+
     def test_psi_flag(self, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli(
@@ -209,6 +233,54 @@ class TestSchemeFiles:
         )
         assert code == 0
         assert read_report(out)["bindings"] == {"Uf": "x", "Ug": "h"}
+
+    def test_dim_must_match_scheme_file(self, tmp_path, capsys):
+        scheme = tmp_path / "net.json"
+        assert run_cli("emit-scheme", "--preset", "ctrl-u", "--dim", "3", "--out", str(scheme)) == 0
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--scheme", str(scheme), "--u", "haar:2", "--dim", "2", "--out", str(out)) == 2
+        assert "--dim" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("run", "--scheme", str(scheme), "--u", "haar:2", "--dim", "3", "--out", str(out)) == 0
+        assert read_report(out)["input"]["internal_dim"] == 3
+
+    def test_emit_ion_preset_rejects_other_dim(self, tmp_path):
+        out = tmp_path / "seq.json"
+        assert run_cli("emit-scheme", "--preset", "ion-ctrl-u", "--dim", "3", "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source,text",
+        [
+            pytest.param("--scheme", "[]", id="scheme-array"),
+            pytest.param("--scheme", "stages=5", id="scheme-stages-number"),
+            pytest.param("--scheme", '{"space": 5, "stages": []}', id="scheme-space-number"),
+            pytest.param("--scheme", "stage=5", id="scheme-stage-number"),
+            pytest.param("--sequence", '{"a": 1}', id="sequence-object"),
+            pytest.param("--sequence", "[5]", id="sequence-pulse-number"),
+            pytest.param("--sequence", "5", id="sequence-number"),
+            pytest.param("--sequence", '[{"type": "carrier", "ion": 2, "slot": ["U"]}]', id="sequence-slot-array"),
+            pytest.param("--sequence", '[{"type": "sideband_swap", "ion": null}]', id="sequence-ion-null"),
+        ],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, source, text):
+        if text.startswith(("stages=", "stage=")):
+            # a valid emitted scheme with "stages" (or its first stage) replaced by 5
+            assert run_cli("emit-scheme", "--preset", "ctrl-u", "--out", str(tmp_path / "ok.json")) == 0
+            data = read_report(tmp_path / "ok.json")
+            if text.startswith("stages="):
+                data["stages"] = 5
+            else:
+                data["stages"][0] = 5
+            text = json.dumps(data)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "r.json"
+        code = run_cli("run", source, str(path), "--u", "x", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("run", "--scheme", str(tmp_path / "nope.json"), "--u", "i") == 2

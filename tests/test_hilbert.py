@@ -13,31 +13,15 @@ from ctrlsim.hilbert import (
     fidelity_pure,
     haar_unitary,
     is_unitary,
-    measure_projective,
     partial_trace,
     product_state,
     random_state,
     random_unit_vector,
     subspace_embed,
     subsystem_embed,
-    tensor,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def kron_oracle(a, b):
-    """Element-by-element Kronecker product, independent of np.kron."""
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(m):
-                for l in range(m):
-                    out[i * m + k, j * m + l] = a[i, j] * b[k, l]
-    return out
 
 
 class TestHilbertSpace:
@@ -96,10 +80,6 @@ class TestStateAndOperatorInvariants:
             DensityMatrix(space, np.diag([np.nan, 0.5]))
         with pytest.raises(ValueError):
             DensityMatrix(space, [[0.5, np.nan], [np.nan, 0.5]])
-        projectors = [Operator(np.diag([np.nan, 0.0]), claims_unitary=False),
-                      Operator(np.diag([0.0, 1.0]), claims_unitary=False)]
-        with pytest.raises(ValueError, match="projector"):
-            measure_projective(StateVector(space, [1.0, 0.0]), projectors, np.random.default_rng(0))
 
     def test_direct_sum_block_validation(self):
         with pytest.raises(ValueError):
@@ -114,38 +94,6 @@ class TestStateAndOperatorInvariants:
         w = haar_unitary(3, rng) @ haar_unitary(3, rng)
         assert is_unitary(w, 1e-10)
         assert np.max(np.abs((w @ w.dagger()).entries - np.eye(3))) < 1e-10
-
-
-class TestTensor:
-    def test_identity_case(self):
-        out = tensor(Operator(np.eye(2)), Operator(np.eye(2)))
-        assert np.array_equal(out.entries, np.eye(4))
-
-    def test_sigma_x_with_identity_swaps_first_index(self):
-        out = tensor(Operator(X), Operator(np.eye(2)))
-        perm = np.zeros((4, 4), dtype=complex)
-        perm[2, 0] = perm[3, 1] = perm[0, 2] = perm[1, 3] = 1
-        assert np.array_equal(out.entries, perm)
-
-    def test_against_elementwise_kronecker_oracle(self):
-        out = tensor(Operator(HAD), Operator(Z))
-        assert np.max(np.abs(out.entries - kron_oracle(HAD, Z))) == 0.0
-
-    def test_state_overload(self):
-        a = StateVector(HilbertSpace([("c", 2)]), [1, 0])
-        b = StateVector(HilbertSpace([("s", 3)]), [0, 1, 0])
-        joint = tensor(a, b)
-        assert joint.space.labels == ("c", "s")
-        assert joint.amps[1] == 1.0
-
-    def test_state_overload_label_collision(self):
-        a = StateVector(HilbertSpace([("c", 2)]), [1, 0])
-        with pytest.raises(ValueError):
-            tensor(a, a)
-
-    def test_unitary_claim_propagates(self):
-        p = Operator(np.diag([1.0, 0.0]), claims_unitary=False)
-        assert not tensor(p, Operator(np.eye(2))).claims_unitary
 
 
 class TestSubsystemEmbed:
@@ -372,70 +320,6 @@ class TestPartialTrace:
             partial_trace(rho, {"zzz"})
 
 
-def basis_projectors(space):
-    ops = []
-    for k in range(space.total_dim):
-        m = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-        m[k, k] = 1.0
-        ops.append(Operator(m, claims_unitary=False))
-    return ops
-
-
-class TestMeasureProjective:
-    def test_deterministic_outcome(self):
-        space = HilbertSpace([("q", 2)])
-        res = measure_projective(
-            basis_state(space, (0,)), basis_projectors(space), np.random.default_rng(0)
-        )
-        assert res.outcome == 0
-        assert abs(res.probability - 1) < 1e-12
-
-    def test_balanced_probabilities(self):
-        space = HilbertSpace([("q", 2)])
-        plus = StateVector(space, np.array([1, 1]) / np.sqrt(2))
-        res = measure_projective(plus, basis_projectors(space), np.random.default_rng(1))
-        assert abs(res.probability - 0.5) < 1e-10
-
-    def test_incomplete_set_rejected(self):
-        space = HilbertSpace([("q", 2)])
-        proj = basis_projectors(space)[:1]
-        with pytest.raises(ValueError):
-            measure_projective(basis_state(space, (0,)), proj, np.random.default_rng(0))
-
-    def test_probabilities_sum_to_one_for_rotated_bases(self):
-        rng = np.random.default_rng(14)
-        space = HilbertSpace([("q", 3)])
-        for _ in range(5):
-            u = haar_unitary(3, rng).entries
-            projs = [
-                Operator(np.outer(u[:, k], u[:, k].conj()), claims_unitary=False)
-                for k in range(3)
-            ]
-            psi = random_state(space, rng)
-            total = sum(
-                float(np.real(np.vdot(psi.amps, p.entries @ psi.amps))) for p in projs
-            )
-            assert abs(total - 1) < 1e-10
-            measure_projective(psi, projs, rng)  # validates and samples
-
-    def test_seeded_runs_identical(self):
-        space = HilbertSpace([("q", 2)])
-        plus = StateVector(space, np.array([0.6, 0.8]))
-        a = measure_projective(plus, basis_projectors(space), np.random.default_rng(99))
-        b = measure_projective(plus, basis_projectors(space), np.random.default_rng(99))
-        assert a.outcome == b.outcome
-        assert np.array_equal(a.state.amps, b.state.amps)
-
-    def test_born_rule_frequencies(self):
-        # binomial: sigma ~ 0.0015 at 1e5 shots, so 0.01 is > 6 sigma
-        space = HilbertSpace([("q", 2)])
-        psi = StateVector(space, np.array([0.6, 0.8]))
-        projs = basis_projectors(space)
-        rng = np.random.default_rng(2026)
-        hits = sum(
-            measure_projective(psi, projs, rng).outcome == 0 for _ in range(100_000)
-        )
-        assert abs(hits / 100_000 - 0.36) < 0.01
 
 
 class TestHaarUnitary:

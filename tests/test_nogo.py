@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ctrlsim import nogo
+from ctrlsim import ion, nogo, photonic
 from ctrlsim.hilbert import Operator, haar_unitary
 from ctrlsim.nogo import (
     CTRL_U,
@@ -182,6 +182,15 @@ class TestTargetUnitary:
         assert np.max(np.abs(t.entries[:2, :2] - top)) < 1e-12
         assert np.max(np.abs(t.entries[2:, 2:] - bottom)) < 1e-12
         assert np.max(np.abs(t.entries[:2, 2:])) == 0.0
+
+    def test_control_branches(self):
+        rng = np.random.default_rng(7)
+        u, uf, ug = (haar_unitary(3, rng) for _ in range(3))
+        m0, m1 = nogo.control_branches(CTRL_U, u)
+        assert np.array_equal(m0, np.eye(3)) and np.array_equal(m1, u.entries)
+        m0, m1 = nogo.control_branches(SWITCH, (uf, ug))
+        assert np.array_equal(m0, ug.entries @ uf.entries)
+        assert np.array_equal(m1, uf.entries @ ug.entries)
 
 
 class TestProcessFidelity:
@@ -418,3 +427,51 @@ class TestOracleSanity:
     def test_degenerate_internal_dimension(self):
         # with d = 1 every unitary is a phase and control is trivial
         assert oracle_sanity(sample_count=4, internal_dim=1, seed=8) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_scheme_scored_by_process_fidelity(self, d, monkeypatch):
+        scored = []
+
+        def spy(kind, scheme, oracle):
+            value = real(kind, scheme, oracle)
+            scored.append((kind, type(scheme).__name__, value))
+            return value
+
+        real = nogo._scheme_fidelity
+        monkeypatch.setattr(nogo, "_scheme_fidelity", spy)
+        worst = oracle_sanity(sample_count=3, internal_dim=d, seed=20 + d)
+        assert {(kind, family) for kind, family, _ in scored} == {
+            (CTRL_U, "Network"), (SWITCH, "Network"),
+            (CTRL_U, "PulseSequence"), (SWITCH, "PulseSequence"),
+        }
+        assert len(scored) == 12
+        assert worst == min(v for _, _, v in scored) >= 1 - 1e-10
+
+    def test_logical_blocks_are_the_targets(self):
+        rng = np.random.default_rng(31)
+        uf, ug = haar_unitary(3, rng), haar_unitary(3, rng)
+        block = nogo._logical_block(photonic.preset_ctrl_switch(3), {"Uf": uf, "Ug": ug})
+        assert np.max(np.abs(block - target_unitary(SWITCH, (uf, ug)).entries)) < 1e-12
+        u = haar_unitary(2, rng)
+        block = nogo._logical_block(ion.seq_ctrl_u(), {"U": u})
+        assert np.max(np.abs(block - target_unitary(CTRL_U, u).entries)) < 1e-12
+
+    def test_miswired_schemes_score_below_one(self):
+        # the device on the H arm realizes U (+) 1; an ion sequence without
+        # its sideband swaps never moves the control into the mode, so the
+        # carrier acts in both control branches: 1 x U
+        space = photonic.PhotonicSpace(("u", "l"), 2)
+        split = photonic.PBS(("u", "l"), ("u", "l"))
+        wrong_arm = photonic.Network(space, (split, photonic.Device("u", "U"), split), "u", "u")
+        no_swaps = ion.PulseSequence(
+            [p for p in ion.seq_ctrl_u().pulses if not isinstance(p, ion.SidebandSwap)]
+        )
+        rng = np.random.default_rng(32)
+        for _ in range(8):
+            u = haar_unitary(2, rng)
+            assert nogo._scheme_fidelity(CTRL_U, photonic.preset_ctrl_u(2), u) >= 1 - 1e-10
+            assert nogo._scheme_fidelity(CTRL_U, wrong_arm, u) < 0.9
+            assert nogo._scheme_fidelity(CTRL_U, no_swaps, u) < 0.9
+        x = Operator(X)
+        assert abs(nogo._scheme_fidelity(CTRL_U, wrong_arm, x)) < 1e-12  # |2 Re Tr X|^2 / 16
+        assert abs(nogo._scheme_fidelity(CTRL_U, no_swaps, x) - 0.25) < 1e-12  # |Tr X + 2|^2 / 16
