@@ -4,8 +4,11 @@
 # Take the circuit skeleton B (1 x U) A (the unknown box wired onto the
 # system line, parametrized gates around it, an ancilla allowed) and
 # maximize the worst-case process fidelity against the controlled
-# target 1 (+) U over a fixed set of Haar samples. The search can be
-# run as hard as you like; the worst case stays bounded away from 1.
+# target 1 (+) U over a fixed set of Haar samples, by L-BFGS on a
+# softmin over the samples with its exact gradient. Every restart runs
+# to convergence, and the worst case stays far from 1. On a sample set
+# closed under U -> -U it cannot pass 1/2 at all: the circuit's channel
+# ignores the global phase of U, but 1 (+) U and 1 (+) -U are orthogonal.
 # The same metric scores the direct-sum constructions, the photonic
 # networks and the ion pulse sequences, at exactly 1, and a known
 # (fixed) oracle is also reachable, so the gap is genuinely about U
@@ -13,7 +16,7 @@
 
 import numpy as np
 
-from ctrlsim.hilbert import Operator
+from ctrlsim.hilbert import Operator, haar_unitary
 from ctrlsim.nogo import (
     CTRL_U,
     SWITCH,
@@ -26,10 +29,19 @@ config = SearchConfig(restarts=6, max_iters=800, sample_count=12, seed=7)
 
 for kind in (CTRL_U, SWITCH):
     report = optimize(kind, config)
+    converged = sum(r.converged for r in report.per_restart)
     print(f"{kind}: best worst-case process fidelity over "
-          f"{config.sample_count} unknown samples = {report.best_worst_case_fidelity:.4f}")
+          f"{config.sample_count} unknown samples = {report.best_worst_case_fidelity:.4f} "
+          f"({converged}/{config.restarts} restarts converged)")
     values = sorted(round(r.value, 4) for r in report.per_restart)
     print("  per-restart values:", values)
+
+rng = np.random.default_rng(7)
+bases = [haar_unitary(2, rng).entries for _ in range(6)]
+phase_closed = tuple(Operator(p * u) for u in bases for p in (1, -1, 1j, -1j))
+ceiling = optimize(CTRL_U, config, samples=phase_closed).best_worst_case_fidelity
+print(f"\nctrl_u on {len(phase_closed)} samples closed under U -> -U, iU: "
+      f"best = {ceiling:.4f} (certified ceiling 1/2)")
 
 print("\ncontrol experiment, oracle fixed and known (identity):")
 known = optimize(

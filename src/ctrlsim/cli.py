@@ -119,7 +119,10 @@ def _write_json(payload: dict, out_path: str | None) -> None:
 def _control_amps(args) -> tuple[complex, complex]:
     alpha = complex(args.alpha)
     beta = complex(args.beta) * np.exp(1j * args.beta_phase)
-    norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.float64(abs(alpha)) ** 2 + abs(beta) ** 2)
+    if not math.isfinite(norm):
+        raise ValueError("alpha and beta are too large to normalize")
     if norm == 0:
         raise ValueError("alpha and beta cannot both be zero")
     if abs(norm - 1.0) > 1e-12:
@@ -197,6 +200,11 @@ def _run(args, family: str, scheme, scheme_id: str, kind: str | None) -> tuple[d
     alpha, beta = _control_amps(args)
     psi = _parse_psi(args.psi, dim)
 
+    monitored = family == "photonic" and any(
+        isinstance(e, photonic.MonitoredDevice) for e in scheme.stages
+    )
+    if args.sample and not monitored:
+        raise ValueError("--sample needs a network with a monitored device")
     rng = np.random.default_rng(args.seed) if args.sample else None
     outcome = propagate(make_input((alpha, beta), psi), bindings, rng=rng)
 

@@ -29,7 +29,6 @@ import numpy as np
 from .hilbert import HilbertSpace, Operator, StateVector, _json_field
 
 G, E, GP, EP = 0, 1, 2, 3
-LEVEL_NAMES = ("g", "e", "g'", "e'")
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,10 @@ CTRL_U = "ctrl_u"
 SWITCH = "switch"
 KINDS = (CTRL_U, SWITCH)
 
-# Byte budget for the largest intermediate array of one batched
-# objective call.  Points beyond it are evaluated in chunks, so that a
-# finite-difference gradient (about 400 MB in one batch at a=2, d=8)
-# keeps a working set of a few times this size at any dimension.
-_CHUNK_BYTES = 1 << 19
+# Temperature of the softmin that smooths the minimum over samples in
+# the search objective: the softmin lies within log(S) / 30 below the
+# minimum of S samples, and its gradient weights the samples near it.
+_SOFTMIN_BETA = 30.0
 
 
 def _check_kind(kind: str) -> str:
@@ -138,7 +137,7 @@ class ParamCircuit:
         order (first matrix acts first).
 
         Built one slot at a time with scipy's ``expm``: the reference
-        the batched search kernel is tested against.
+        the search objective is tested against.
         """
         gens = hermitian_from_params(self.params.reshape(_n_slots(self.kind), -1), self.full_dim)
         return tuple(expm(1j * h) for h in gens)
@@ -149,17 +148,19 @@ def _require_finite(params: np.ndarray) -> None:
         raise ValueError("search parameters must be finite")
 
 
-def _slot_matrices(kind: str, full_dim: int, params: np.ndarray) -> np.ndarray:
-    """Slot unitaries ``expm(i H)`` of parameter points ``(..., n)``, as
-    an array ``(..., n_slots, D, D)`` in application order.
+def _slot_matrices(kind: str, full_dim: int, params: np.ndarray):
+    """Slot unitaries ``expm(i H)`` of parameter points ``(..., n)`` and
+    the eigendecomposition they come from: ``(w, V, gates)`` with
+    ``gates = V e^{i w} V^dag`` of shape ``(..., n_slots, D, D)`` in
+    application order.
 
-    All generators come from one gather and are exponentiated by one
-    stacked Hermitian eigendecomposition, ``V e^{i w} V^dag``; scipy's
-    ``expm`` in :attr:`ParamCircuit.slot_matrices` is the reference.
+    All generators come from one gather and one stacked Hermitian
+    eigendecomposition; scipy's ``expm`` in
+    :attr:`ParamCircuit.slot_matrices` is the reference.
     """
     vec = np.reshape(params, (*np.shape(params)[:-1], _n_slots(kind), full_dim * full_dim))
     w, v = np.linalg.eigh(hermitian_from_params(vec, full_dim))
-    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return w, v, (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def param_count(kind: str, ancilla_dim: int, system_dim: int) -> int:
@@ -282,83 +283,85 @@ def worst_case_fidelity(pc: ParamCircuit, samples) -> float:
     )
 
 
-def _prepare_samples(kind: str, ancilla_dim: int, samples):
+def _prepare_samples(kind: str, samples):
     """Hoist the sample-dependent matrices out of the search loop.
 
     Returns the oracles stacked as ``(S, n_insertions, d, d)`` in
-    insertion order and the conjugated targets flattened to
-    ``(S, cs*cs)``.  The insertions act on each ancilla-control row
-    block alike, so ``ancilla_dim`` does not enter.
+    insertion order and the conjugated targets ``(S, cs, cs)``.
     """
     if not samples:
         raise ValueError("sample set must be non-empty")
     oracles = np.stack([np.stack(_oracle_entries(kind, s)) for s in samples])
-    targets = np.stack([target_unitary(kind, s).entries.reshape(-1).conj() for s in samples])
+    targets = np.stack([target_unitary(kind, s).entries.conj() for s in samples])
     return oracles, targets
 
 
-def _worst_case_from_slots(kind, ancilla_dim, system_dim, slots, prepared):
-    """Same value as :func:`worst_case_fidelity`, for every point of a
-    batch of slot unitaries ``(..., n_slots, D, D)``.
+def _objective(kind: str, ancilla_dim: int, system_dim: int, x, prepared):
+    """Search objective at one parameter point ``x``: ``(softmin,
+    gradient, fidelities)``.
 
-    Only the columns of ancilla input |0> are propagated, for all
-    samples side by side as ``(..., D, S*cs)``.  Each insertion
-    ``1_ac x U`` is a matmul on the rows regrouped to ``(..., S, d,
-    2a*cs)``.  Returns the minimum over samples, shape ``(...)``.
+    ``fidelities`` are the per-sample process fidelities whose minimum
+    :func:`worst_case_fidelity` returns; ``softmin`` smooths that minimum
+    at temperature ``_SOFTMIN_BETA`` and ``gradient`` is its exact
+    gradient in ``x``.  Only the ancilla-|0> columns are propagated, for
+    all samples side by side as ``(2a, d, S, cs)``, keeping the input of
+    each slot.  The adjoint pass runs back through the slots and the
+    ``1_ac x U`` insertions, and reaches the generators through the
+    eigendecomposition of the slot gates: for ``S = V e^{iw} V^dag``,
+    ``dS = V (Phi o V^dag i dH V) V^dag`` with ``Phi_jk = e^{i(w_j+w_k)/2}
+    sinc((w_j - w_k) / 2 pi)``, which holds at degenerate spectra too.
     """
+    x = np.asarray(x, dtype=float)
+    _require_finite(x)
     oracles, targets = prepared
-    a, d = ancilla_dim, system_dim
-    cs, blocks, n_samples = 2 * d, 2 * a, len(oracles)
-    batch = slots.shape[:-3]
-    n_insertions = oracles.shape[1]
-    # the input columns are the same for every sample, so the first
-    # insertion multiplies them by all oracles stacked as rows (S*d, d)
-    cols = slots[..., 0, :, :cs].reshape(*batch, blocks, d, cs).swapaxes(-3, -2)
-    rows = oracles[:, 0].reshape(n_samples * d, d) @ cols.reshape(*batch, d, blocks * cs)
-    for k in range(1, n_insertions + 1):
-        # rows (..., S, d, 2a*cs) -> columns (..., D, S*cs), then slot k
-        rows = rows.reshape(*batch, n_samples, d, blocks, cs).swapaxes(-4, -2)
-        cols = slots[..., k, :, :] @ rows.reshape(*batch, blocks * d, n_samples * cs)
-        if k < n_insertions:  # back to rows for the next insertion, per sample
-            rows = cols.reshape(*batch, blocks, d, n_samples, cs).swapaxes(-4, -2)
-            rows = oracles[:, k] @ rows.reshape(*batch, n_samples, d, blocks * cs)
-    # Kraus operator m of sample s is cols[(m, i), (s, j)]
-    kraus = cols.reshape(*batch, a, cs, n_samples, cs).swapaxes(-4, -2).swapaxes(-3, -2)
-    kraus = kraus.reshape(*batch, n_samples, a, cs * cs)
-    overlaps = np.sum(kraus * targets[:, None, :], axis=-1)  # (..., S, a)
+    blocks, d, cs, n_samples = 2 * ancilla_dim, system_dim, 2 * system_dim, len(oracles)
+    full_dim = blocks * d
+    w, v, slots = _slot_matrices(kind, full_dim, x)
+    n_slots = len(slots)
+
+    # forward: the input of slot k >= 1 is the output of insertion k
+    cols = slots[0, :, :cs].reshape(blocks, d, 1, cs)
+    inputs = []
+    for k in range(1, n_slots):
+        rows = np.einsum("sij,bjsc->bisc", oracles[:, k - 1], cols)
+        inputs.append(rows)
+        cols = (slots[k] @ rows.reshape(full_dim, -1)).reshape(blocks, d, n_samples, cs)
+    # Kraus operator m of sample s is cols[(m, i), s, j]
+    kraus = cols.reshape(ancilla_dim, cs, n_samples, cs)
+    overlaps = np.einsum("misj,sij->sm", kraus, targets)
     fid = np.sum(np.abs(overlaps) ** 2, axis=-1) / (cs * cs)
-    return np.min(fid, axis=-1)
+    weights = np.exp(-_SOFTMIN_BETA * (fid - fid.min()))
+    softmin = fid.min() - np.log(weights.sum()) / _SOFTMIN_BETA
+    weights /= weights.sum()
 
+    # adjoint: lam holds dF/d conj(cols); grads[k] is dF/d conj(slot k)
+    coef = weights[:, None] * overlaps / (cs * cs)
+    lam = np.einsum("sm,sij->misj", coef, targets.conj()).reshape(blocks, d, n_samples, cs)
+    grads = np.zeros_like(slots)
+    for k in range(n_slots - 1, 0, -1):
+        flat = lam.reshape(full_dim, -1)
+        grads[k] = flat @ inputs[k - 1].reshape(full_dim, -1).conj().T
+        lam = (slots[k].conj().T @ flat).reshape(blocks, d, n_samples, cs)
+        lam = np.einsum("sji,bjsc->bisc", oracles[:, k - 1].conj(), lam)
+    grads[0, :, :cs] = lam.sum(axis=2).reshape(full_dim, cs)
 
-def _worst_case(kind: str, ancilla_dim: int, system_dim: int, params, prepared) -> np.ndarray:
-    """Search objective: the worst-case process fidelity of each
-    parameter point ``(..., n)``, as an array ``(...)``.
-
-    Points are evaluated in chunks whose largest intermediate stays
-    within ``_CHUNK_BYTES``.
-    """
-    params = np.asarray(params, dtype=float)
-    _require_finite(params)
-    full_dim = ancilla_dim * 2 * system_dim
-    n = params.shape[-1]
-    flat = params.reshape(-1, n)
-    oracles, _ = prepared
-    # per point, the larger of its slot gates and its propagated columns
-    point_bytes = 16 * full_dim * max(_n_slots(kind) * full_dim, len(oracles) * 2 * system_dim)
-    chunk = max(1, _CHUNK_BYTES // point_bytes)
-    out = np.empty(len(flat))
-    for start in range(0, len(flat), chunk):
-        part = flat[start : start + chunk]
-        slots = _slot_matrices(kind, full_dim, part)
-        out[start : start + chunk] = _worst_case_from_slots(
-            kind, ancilla_dim, system_dim, slots, prepared
-        )
-    return out.reshape(params.shape[:-1])
+    # through the eigendecomposition to the Hermitian generators
+    vh = v.conj().swapaxes(-1, -2)
+    phi = np.exp(0.5j * (w[:, :, None] + w[:, None, :]))
+    phi *= np.sinc((w[:, :, None] - w[:, None, :]) / (2 * np.pi))
+    c = (v @ (phi.conj() * (vh @ grads @ v)) @ vh).reshape(n_slots, -1)
+    re, im, sign = _generator_index(full_dim)
+    offsets = full_dim * full_dim * np.arange(n_slots)[:, None]
+    grad = np.bincount((re + offsets).ravel(), (2 * c.imag).ravel(), x.size)
+    grad -= np.bincount((im + offsets).ravel(), (2 * sign * c.real).ravel(), x.size)
+    return softmin, grad, fid
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the multi-restart search.  All randomness derives from
+    """Settings of the multi-restart search: ``restarts`` L-BFGS runs of
+    at most ``max_iters`` iterations each, on ``sample_count`` Haar
+    samples at the given dimensions.  All randomness derives from
     ``seed``; restart r uses the stream seeded by (seed, r)."""
 
     restarts: int = 20
@@ -367,10 +370,6 @@ class SearchConfig:
     seed: int = 0
     system_dim: int = 2
     ancilla_dim: int = 2
-    f_tol: float = 1e-12
-    x_tol: float = 1e-10
-    fd_step: float = 1e-6
-    polish_steps: int = 25
 
     def __post_init__(self):
         for name in ("restarts", "max_iters", "sample_count", "system_dim", "ancilla_dim"):
@@ -417,72 +416,21 @@ class SearchReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
-    """Forward-difference gradient of a batched objective ``f``, which
-    maps points ``(m, n)`` to values ``(m,)``.
-
-    ``x`` and its ``n`` shifted copies go to ``f`` in one call, or in
-    blocks of ``_CHUNK_BYTES`` when the points alone would exceed it.
-    """
-    n = x.size
-    block = max(1, _CHUNK_BYTES // (8 * n))
-    values = np.empty(n + 1)
-    for start in range(0, n + 1, block):
-        rows = np.arange(start, min(start + block, n + 1))
-        points = np.tile(x, (rows.size, 1))
-        shifted = rows > 0
-        points[shifted, rows[shifted] - 1] += step
-        values[rows] = f(points)
-    return (values[1:] - values[0]) / step
-
-
-def _fd_polish(f, x: np.ndarray, steps: int, fd_step: float, f_tol: float):
-    """Finite-difference ascent from a simplex result, on a batched
-    objective ``f`` (see :func:`_fd_gradient`).
-
-    Backtracking line search along the gradient; stops when no trial
-    step improves the objective by more than ``f_tol``.
-    """
-    best = float(f(x))
-    fevals = 1
-    iters = 0
-    for _ in range(steps):
-        grad = _fd_gradient(f, x, fd_step)
-        fevals += x.size + 1
-        norm = float(np.linalg.norm(grad))
-        if norm == 0.0:
-            break
-        direction = grad / norm
-        improved = False
-        for scale in (1.0, 0.3, 0.1, 0.03, 0.01, 0.003):
-            trial = x + scale * direction
-            val = float(f(trial))
-            fevals += 1
-            if val > best + f_tol:
-                x, best = trial, val
-                improved = True
-                break
-        iters += 1
-        if not improved:
-            break
-    return x, best, iters, fevals
-
-
 def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
     """Multi-restart maximization of the worst-case process fidelity.
 
     A fixed sample set is drawn once from the seed (or supplied
-    explicitly for known-oracle control runs).  Restart 0 starts from
-    zero parameters (identity slots); later restarts start from random
-    Gaussian parameters.  Each restart runs a Nelder-Mead ascent
-    followed by a short finite-difference polish.  Non-convergence is
-    reported per restart, never raised.
-
-    The objective is one batched kernel: slot gates from one stacked
-    Hermitian eigendecomposition, all samples contracted at once, and
-    each polish gradient evaluated in a single call.  ``ParamCircuit``
-    with :func:`worst_case_fidelity` computes the same value through
-    scipy's ``expm`` and is the reference the kernel is tested against.
+    explicitly, e.g. a known oracle or a phase-closed set).  Restart 0
+    starts from zero parameters (identity slots); later restarts start
+    from random Gaussian parameters.  Each restart is one scipy L-BFGS-B
+    run on :func:`_objective`, the softmin over samples with its exact
+    gradient; its reported value is the true minimum over samples at the
+    point L-BFGS-B returns, and its iteration and evaluation counts and
+    convergence flag are scipy's.  Non-convergence is reported per
+    restart, never raised.  ``ParamCircuit`` with
+    :func:`worst_case_fidelity` computes the same fidelities through
+    scipy's ``expm`` and is the reference the objective is tested
+    against.
     """
     _check_kind(kind)
     d, a = config.system_dim, config.ancilla_dim
@@ -490,46 +438,34 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
         sample_rng = np.random.default_rng(config.seed)
         samples = draw_samples(kind, d, config.sample_count, sample_rng)
     n = param_count(kind, a, d)
-    prepared = _prepare_samples(kind, a, samples)
+    prepared = _prepare_samples(kind, samples)
 
-    def objective(x: np.ndarray) -> np.ndarray:
-        return _worst_case(kind, a, d, x, prepared)
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        softmin, grad, _ = _objective(kind, a, d, x, prepared)
+        return -softmin, -grad
 
     results: list[RestartResult] = []
-    best_val = -np.inf
     for r in range(config.restarts):
         rng = np.random.default_rng((config.seed, r))
         x0 = np.zeros(n) if r == 0 else rng.normal(0.0, 0.7, size=n)
         res = minimize(
-            lambda x: -float(objective(x)),
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iters,
-                "maxfev": 2 * config.max_iters,
-                "fatol": config.f_tol,
-                "xatol": config.x_tol,
-            },
-        )
-        x_best, value, extra_iters, extra_fevals = _fd_polish(
-            objective, np.array(res.x), config.polish_steps, config.fd_step, config.f_tol
+            negated, x0, jac=True, method="L-BFGS-B", options={"maxiter": config.max_iters}
         )
         results.append(
             RestartResult(
                 seed=(config.seed, r),
-                value=float(value),
-                iterations=int(res.nit) + extra_iters,
-                fevals=int(res.nfev) + extra_fevals,
+                value=float(_objective(kind, a, d, res.x, prepared)[2].min()),
+                iterations=int(res.nit),
+                fevals=int(res.nfev),
                 converged=bool(res.success),
             )
         )
-        best_val = max(best_val, value)
 
     return SearchReport(
         kind=kind,
         dims={"ancilla": a, "control": 2, "system": d},
         config=config,
-        best_worst_case_fidelity=float(best_val),
+        best_worst_case_fidelity=max(r.value for r in results),
         per_restart=tuple(results),
     )
 

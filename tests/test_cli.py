@@ -101,6 +101,37 @@ class TestRunCommand:
         assert report["output"]["kind"] == "sampled"
         assert report["output"]["outcome"] in (0, 1)
 
+    @pytest.mark.parametrize(
+        "source,flags",
+        [
+            ("ctrl-u", ["--u", "x"]),
+            ("ctrl-switch", ["--uf", "x", "--ug", "h"]),
+            ("ion-ctrl-u", ["--u", "x"]),
+            ("ion-ctrl-switch", ["--uf", "x", "--ug", "h"]),
+            ("--scheme", ["--u", "x"]),
+            ("--sequence", ["--u", "x"]),
+        ],
+    )
+    def test_sample_without_monitored_device_exits_2(self, tmp_path, capsys, source, flags):
+        if source.startswith("--"):
+            preset = "ctrl-u" if source == "--scheme" else "ion-ctrl-u"
+            emitted = tmp_path / "emitted.json"
+            assert run_cli("emit-scheme", "--preset", preset, "--out", str(emitted)) == 0
+            source_flags = [source, str(emitted)]
+        else:
+            source_flags = ["--preset", source]
+        out = tmp_path / "r.json"
+        assert run_cli("run", *source_flags, *flags, "--sample", "--out", str(out)) == 2
+        assert "--sample" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_from_monitored_scheme_file(self, tmp_path):
+        emitted = tmp_path / "emitted.json"
+        assert run_cli("emit-scheme", "--preset", "ctrl-u-monitored", "--out", str(emitted)) == 0
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--scheme", str(emitted), "--u", "x", "--sample", "--out", str(out)) == 0
+        assert read_report(out)["output"]["kind"] == "sampled"
+
     def test_higher_internal_dimension(self, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli(
