@@ -6,6 +6,11 @@ common vibrational mode is truncated at ``fock_cutoff`` occupations
 (protocols only ever populate n = 0 and n = 1; the spare level is kept
 as a leakage detector).
 
+The unknown carrier drives the {g, e} pair at every motional level and
+leaves the primed levels alone, so the hiding pulses condition it: they
+park the target ion's qubit of one control branch in the primed levels
+while the carrier acts on the other.
+
 Pulse phase convention: every two-level pulse is the real symmetric
 exchange |a><b| + |b><a| plus identity on the rest.  Physical pi
 pulses carry extra phases that are tunable in an experiment; the
@@ -77,9 +82,9 @@ class Hiding:
 
 @dataclass(frozen=True)
 class Carrier:
-    """Bound 2x2 unitary on the {g, e} pair, resonant only in the
-    vibrational ground-state block; identity on n >= 1 and on the
-    primed levels."""
+    """Bound 2x2 unitary on the {g, e} pair at every vibrational
+    occupation n; identity on the primed levels, which the unknown
+    pulse does not reach."""
 
     ion: int
     slot: str
@@ -153,10 +158,14 @@ def pulse_unitary(
             raise ValueError(f"binding for slot {p.slot!r} is not unitary")
         if u.dim != 2:
             raise ValueError(f"carrier binding must be 2x2, got dim {u.dim}")
+        # one (g, e) index pair per spectator level and motional level
+        pairs = np.array([
+            (idx(G, n), idx(E, n))
+            for idx in _other_levels(space, p.ion)
+            for n in range(space.fock_cutoff)
+        ])
         full = np.eye(space.total_dim, dtype=np.complex128)
-        for idx in _other_levels(space, p.ion):
-            block = [idx(G, 0), idx(E, 0)]
-            full[np.ix_(block, block)] = u.entries
+        full[pairs[:, :, None], pairs[:, None, :]] = u.entries
         return Operator(full)
     raise TypeError(f"unknown pulse type: {p!r}")
 

@@ -20,6 +20,11 @@ the induced channel, so it is not optimized over.
 
 Choi convention: unnormalized, output factor first, columns flattened
 in C order; the Choi matrix of a CPTP map on dimension D has trace D.
+
+scipy is imported inside :func:`expm` and :func:`minimize` on their
+first call, so importing this module, and every ``ctrlsim run`` and
+``emit-scheme``, needs numpy alone.  Both are called through the module
+globals, so they can be wrapped by name.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, expm
-from scipy.optimize import minimize
 
 from . import ion, photonic
 from .hilbert import Operator, haar_unitary
@@ -44,6 +47,20 @@ KINDS = (CTRL_U, SWITCH)
 # the search objective: the softmin lies within log(S) / 30 below the
 # minimum of S samples, and its gradient weights the samples near it.
 _SOFTMIN_BETA = 30.0
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy's ``expm``, imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
+def minimize(*args, **kwargs):
+    """scipy's ``minimize``, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _check_kind(kind: str) -> str:
@@ -245,7 +262,9 @@ def control_branches(kind: str, oracle) -> tuple[np.ndarray, np.ndarray]:
 def target_unitary(kind: str, oracle) -> Operator:
     """Controlled operation on (control, system) the circuit should
     reproduce: :func:`control_branches` as diagonal blocks."""
-    return Operator(block_diag(*control_branches(kind, oracle)), tol=1e-8)
+    first, second = control_branches(kind, oracle)
+    zero = np.zeros(first.shape)
+    return Operator(np.block([[first, zero], [zero, second]]), tol=1e-8)
 
 
 def process_fidelity(choi: np.ndarray, target: Operator) -> float:

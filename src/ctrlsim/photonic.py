@@ -375,12 +375,15 @@ def _path_mask(space: PhotonicSpace, path: str) -> np.ndarray:
 
 def _compile(net: Network, bindings: Mapping[str, Operator]):
     """Per-stage (matrix, monitored path) list; monitor is None for
-    plain elements."""
+    plain elements.  Each distinct element is compiled once and its
+    matrix reused at every stage position it occupies."""
+    cache: dict[Element, np.ndarray] = {}
     compiled = []
     for e in net.stages:
-        u = element_unitary(e, net.space, bindings).entries
+        if e not in cache:
+            cache[e] = element_unitary(e, net.space, bindings).entries
         monitor = e.path if isinstance(e, MonitoredDevice) else None
-        compiled.append((u, monitor))
+        compiled.append((cache[e], monitor))
     return compiled
 
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from ctrlsim.cli import main, parse_gate_spec
+import ctrlsim
+from ctrlsim.cli import PRESETS, main, parse_gate_spec
 from ctrlsim.hilbert import is_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -358,6 +363,44 @@ class TestNogoCommand:
 
     def test_bad_config_exits_2(self, tmp_path):
         assert run_cli("nogo", "--kind", "ctrl-u", "--restarts", "0") == 2
+
+
+_SCIPY_PROBE = textwrap.dedent(
+    """
+    import json, sys
+    from ctrlsim.cli import PRESETS, main
+
+    def scipy_loaded():
+        return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+    codes = []
+    for preset in PRESETS:
+        binds = ["--uf", "h", "--ug", "t"] if "switch" in preset else ["--u", "haar:3"]
+        codes.append(main(["run", "--preset", preset, *binds, "--out", preset + ".report"]))
+        codes.append(main(["emit-scheme", "--preset", preset, "--out", preset + ".json"]))
+        source = "--sequence" if preset.startswith("ion") else "--scheme"
+        codes.append(main(["run", source, preset + ".json", *binds, "--out", preset + ".file"]))
+    after_run = scipy_loaded()
+    codes.append(main(["nogo", "--kind", "switch", "--restarts", "1", "--samples", "2",
+                       "--max-iters", "5", "--out", "nogo.json"]))
+    print(json.dumps({"codes": codes, "after_run": after_run, "after_nogo": scipy_loaded()}))
+    """
+)
+
+
+def test_only_the_search_loads_scipy(tmp_path):
+    # run and emit-scheme need numpy alone; scipy loads with the first search
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctrlsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["codes"] == [0] * (3 * len(PRESETS) + 1)
+    assert probe["after_run"] == []
+    assert "scipy.optimize" in probe["after_nogo"]
 
 
 class TestStdout:

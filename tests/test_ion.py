@@ -78,12 +78,19 @@ class TestPulseUnitaries:
         want = ket(space, level(G), level(G, primed=True), mode(space, 0))
         assert np.max(np.abs(out - want.amps)) < 1e-12
 
-    def test_carrier_off_resonant_on_excited_mode(self, space):
-        rng = np.random.default_rng(1)
-        u = haar_unitary(2, rng)
-        carrier = pulse_unitary(Carrier(2, "U"), space, {"U": u}).entries
-        start = ket(space, level(E), qubit(*random_unit_vector(2, rng)), mode(space, 1))
-        assert np.max(np.abs(carrier @ start.amps - start.amps)) < 1e-12
+    def test_carrier_acts_on_qubit_at_every_motional_level(self, space):
+        u = haar_unitary(2, np.random.default_rng(1))
+        # U on (g, e) and identity on (g', e'), at every motional level
+        on_levels = np.eye(4, dtype=complex)
+        on_levels[:2, :2] = u.entries
+        eye_mode = np.eye(space.fock_cutoff)
+        want = {
+            1: np.kron(np.kron(on_levels, np.eye(4)), eye_mode),
+            2: np.kron(np.kron(np.eye(4), on_levels), eye_mode),
+        }
+        for ion, full in want.items():
+            carrier = pulse_unitary(Carrier(ion, "U"), space, {"U": u}).entries
+            assert np.max(np.abs(carrier - full)) < 1e-12
 
     def test_carrier_identity_on_primed_levels(self, space):
         rng = np.random.default_rng(2)
@@ -148,8 +155,8 @@ class TestPulseUnitaries:
             u = pulse_unitary(p, space).entries
             assert np.max(np.abs(u @ u - np.eye(space.total_dim))) < 1e-12
 
-    def test_carrier_commutes_with_shielded_operators(self, space):
-        # generators supported on n >= 1 or on primed levels only
+    def test_carrier_commutes_with_mode_and_primed_operators(self, space):
+        # generators supported on the mode or on the primed levels only
         rng = np.random.default_rng(4)
         u = haar_unitary(2, rng)
         carrier = pulse_unitary(Carrier(2, "U"), space, {"U": u}).entries
@@ -161,27 +168,22 @@ class TestPulseUnitaries:
             return m
 
         generators = []
-        # ion-2 qubit transition inside n = 1
-        generators.append(
-            outer(space.flat(E, G, 1), space.flat(E, E, 1))
-            + outer(space.flat(E, E, 1), space.flat(E, G, 1))
-        )
-        # primed-level rotation inside n = 0
-        generators.append(
-            outer(space.flat(G, GP, 0), space.flat(G, EP, 0))
-            + outer(space.flat(G, EP, 0), space.flat(G, GP, 0))
-        )
-        # projector onto all n >= 1 amplitudes
-        proj = np.zeros((dim, dim), dtype=complex)
-        for i1 in range(4):
-            for i2 in range(4):
-                for n in range(1, space.fock_cutoff):
-                    k = space.flat(i1, i2, n)
-                    proj[k, k] = 1.0
-        generators.append(proj)
+        # primed-level rotation of ion 2, inside n = 0 and inside n = 1
+        for n in (0, 1):
+            generators.append(
+                outer(space.flat(G, GP, n), space.flat(G, EP, n))
+                + outer(space.flat(G, EP, n), space.flat(G, GP, n))
+            )
+        # mode lowering operator on every electronic level
+        lower = np.diag(np.sqrt(np.arange(1, space.fock_cutoff)), k=1)
+        generators.append(np.kron(np.eye(16), lower))
         for g in generators:
             comm = carrier @ g - g @ carrier
             assert np.max(np.abs(comm)) < 1e-12
+        # but not with the ion-2 qubit transition inside n = 1
+        flip = outer(space.flat(E, G, 1), space.flat(E, E, 1))
+        flip += flip.T
+        assert np.max(np.abs(carrier @ flip - flip @ carrier)) > 0.1
 
 
 class TestRunSequence:

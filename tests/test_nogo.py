@@ -454,3 +454,52 @@ class TestOracleSanity:
         x = Operator(X)
         assert abs(nogo._scheme_fidelity(CTRL_U, wrong_arm, x)) < 1e-12  # |2 Re Tr X|^2 / 16
         assert abs(nogo._scheme_fidelity(CTRL_U, no_swaps, x) - 0.25) < 1e-12  # |Tr X + 2|^2 / 16
+
+
+def _ablations(stages):
+    """Each stage tuple with one position deleted, then with every
+    element of one type deleted."""
+    for i in range(len(stages)):
+        yield f"position {i}", stages[:i] + stages[i + 1 :]
+    for cls in sorted({type(s) for s in stages}, key=lambda c: c.__name__):
+        yield f"every {cls.__name__}", tuple(s for s in stages if not isinstance(s, cls))
+
+
+@pytest.mark.parametrize(
+    "kind, build, unchanged",
+    [
+        (CTRL_U, lambda: photonic.preset_ctrl_u(2), ()),
+        # its four half-wave plates flip the polarization on both arms
+        # twice, so together they compose to the identity
+        (SWITCH, lambda: photonic.preset_ctrl_switch(2), ("every HWP",)),
+        (CTRL_U, ion.seq_ctrl_u, ()),
+        (SWITCH, ion.seq_ctrl_switch, ()),
+    ],
+    ids=["ctrl-u", "ctrl-switch", "seq_ctrl_u", "seq_ctrl_switch"],
+)
+def test_every_element_is_needed(kind, build, unchanged):
+    # a scheme missing any stage or pulse, or every element of one type,
+    # either is rejected or misses the target on some Haar sample; the
+    # ablations in ``unchanged`` leave its logical block as it was
+    scheme = build()
+    if isinstance(scheme, photonic.Network):
+        stages = scheme.stages
+        def rebuild(kept):
+            return photonic.Network(scheme.space, kept, scheme.input_path, scheme.output_path)
+    else:
+        stages, rebuild = scheme.pulses, ion.PulseSequence
+    samples = draw_samples(kind, 2, 8, np.random.default_rng(33))
+    bindings = [{"U": s} if kind == CTRL_U else dict(zip(("Uf", "Ug"), s)) for s in samples]
+    assert min(nogo._scheme_fidelity(kind, scheme, s) for s in samples) >= 1 - 1e-10
+    for name, kept in _ablations(stages):
+        try:
+            ablated = rebuild(kept)
+            worst = min(nogo._scheme_fidelity(kind, ablated, s) for s in samples)
+        except (ValueError, KeyError):
+            continue
+        if name in unchanged:
+            for b in bindings:
+                diff = nogo._logical_block(ablated, b) - nogo._logical_block(scheme, b)
+                assert np.max(np.abs(diff)) < 1e-12, name
+        else:
+            assert worst < 0.9, name
