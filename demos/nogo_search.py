@@ -29,16 +29,16 @@ config = SearchConfig(restarts=6, max_iters=800, sample_count=12, seed=7)
 
 for kind in (CTRL_U, SWITCH):
     report = optimize(kind, config)
-    converged = sum(r.converged for r in report.per_restart)
+    converged = sum(r.converged for r in report.restarts)
     print(f"{kind}: best worst-case process fidelity over "
           f"{config.sample_count} unknown samples = {report.best_worst_case_fidelity:.4f} "
           f"({converged}/{config.restarts} restarts converged)")
-    values = sorted(round(r.value, 4) for r in report.per_restart)
+    values = sorted(round(r.value, 4) for r in report.restarts)
     print("  per-restart values:", values)
 
 rng = np.random.default_rng(7)
 bases = [haar_unitary(2, rng).entries for _ in range(6)]
-phase_closed = tuple(Operator(p * u) for u in bases for p in (1, -1, 1j, -1j))
+phase_closed = tuple({"U": Operator(p * u)} for u in bases for p in (1, -1, 1j, -1j))
 ceiling = optimize(CTRL_U, config, samples=phase_closed).best_worst_case_fidelity
 print(f"\nctrl_u on {len(phase_closed)} samples closed under U -> -U, iU: "
       f"best = {ceiling:.4f} (certified ceiling 1/2)")
@@ -47,7 +47,7 @@ print("\ncontrol experiment, oracle fixed and known (identity):")
 known = optimize(
     CTRL_U,
     SearchConfig(restarts=2, max_iters=300, sample_count=1, seed=7),
-    samples=(Operator(np.eye(2)),),
+    samples=({"U": Operator(np.eye(2))},),
 )
 print("  best fidelity =", known.best_worst_case_fidelity, " (reachable: U is not unknown)")
 

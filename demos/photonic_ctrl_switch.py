@@ -3,9 +3,11 @@
 #
 # Each device is inserted exactly once. The H component traverses
 # device f first and device g second; the V component takes the
-# opposite order. Half-wave plates flip the polarization between the
-# two passes and a mirror swap exchanges the arms, so the same physical
-# box serves both components at different times. The recombined output:
+# opposite order. A mirror swap between the two passes exchanges the
+# arms, so the same physical box serves both components at different
+# times. (The half-wave plates on both arms, before and after the swap,
+# cancel: the flip commutes with the devices and the swap.) The
+# recombined output:
 #   alpha |H> Ug Uf |psi> + beta |V> Uf Ug |psi>.
 
 import numpy as np

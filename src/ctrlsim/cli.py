@@ -210,8 +210,7 @@ def _run(args, family: str, scheme, scheme_id: str, kind: str | None) -> tuple[d
 
     target = None
     if kind is not None:
-        oracle = bindings["U"] if kind == nogo.CTRL_U else (bindings["Uf"], bindings["Ug"])
-        m0, m1 = nogo.control_branches(kind, oracle)
+        m0, m1 = nogo.control_branches(kind, bindings)
         target = place_out(np.concatenate([alpha * (m0 @ psi), beta * (m1 @ psi)]))
 
     if isinstance(outcome, photonic.MixedOutcome):

@@ -263,6 +263,13 @@ def subsystem_embed(u: Operator, space: HilbertSpace, slot: str) -> Operator:
     return Operator(full, u.claims_unitary, tol=1e-8)
 
 
+def _permutation(dest: np.ndarray) -> np.ndarray:
+    """Permutation matrix moving basis state ``j`` to ``dest[j]``."""
+    full = np.zeros((dest.size, dest.size), dtype=np.complex128)
+    full[dest, np.arange(dest.size)] = 1.0
+    return full
+
+
 def subspace_embed(u: Operator, emb: DirectSumBlock) -> Operator:
     """Embed ``u`` on a direct-sum block, identity on the complement.
 

@@ -31,7 +31,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .hilbert import HilbertSpace, Operator, StateVector, _json_field
+from .hilbert import HilbertSpace, Operator, StateVector, _json_field, _permutation
 
 G, E, GP, EP = 0, 1, 2, 3
 
@@ -107,31 +107,24 @@ class SigmaX:
 
 Pulse = Union[SidebandSwap, Hiding, Carrier, SigmaX]
 
+# The (level, n) <-> (level, n) exchange each fixed pulse makes on its
+# ion, whatever the other ion's level.
+_EXCHANGES = {
+    (SidebandSwap, None): ((G, 0), (E, 1)),
+    (Hiding, "H1"): ((G, 1), (GP, 0)),
+    (Hiding, "H2"): ((E, 1), (EP, 0)),
+    (SigmaX, "Sg"): ((G, 0), (GP, 0)),
+    (SigmaX, "Se"): ((E, 0), (EP, 0)),
+}
 
-def _check_ion(ion: int) -> int:
+
+def _levels(space: TrapSpace, ion: int) -> np.ndarray:
+    """Flat indices on the axes (level of ``ion``, level of the other
+    ion, n)."""
     if ion not in (1, 2):
         raise ValueError(f"ion index must be 1 or 2, got {ion}")
-    return ion
-
-
-def _other_levels(space: TrapSpace, ion: int):
-    """Iterate over the spectator ion's levels, yielding index builders."""
-    _check_ion(ion)
-    for m in range(4):
-        if ion == 1:
-            yield lambda lv, n, m=m: space.flat(lv, m, n)
-        else:
-            yield lambda lv, n, m=m: space.flat(m, lv, n)
-
-
-def _swap_matrix(space: TrapSpace, pairs) -> np.ndarray:
-    full = np.eye(space.total_dim, dtype=np.complex128)
-    for a, b in pairs:
-        full[a, a] = 0.0
-        full[b, b] = 0.0
-        full[a, b] = 1.0
-        full[b, a] = 1.0
-    return full
+    idx = np.arange(space.total_dim).reshape(4, 4, space.fock_cutoff)
+    return idx if ion == 1 else idx.swapaxes(0, 1)
 
 
 def pulse_unitary(
@@ -139,17 +132,6 @@ def pulse_unitary(
 ) -> Operator:
     """Full-space unitary of one ideal pulse."""
     bindings = bindings or {}
-    if isinstance(p, SidebandSwap):
-        pairs = [(idx(G, 0), idx(E, 1)) for idx in _other_levels(space, p.ion)]
-        return Operator(_swap_matrix(space, pairs))
-    if isinstance(p, Hiding):
-        lv, aux = (G, GP) if p.which == "H1" else (E, EP)
-        pairs = [(idx(lv, 1), idx(aux, 0)) for idx in _other_levels(space, p.ion)]
-        return Operator(_swap_matrix(space, pairs))
-    if isinstance(p, SigmaX):
-        lv, aux = (G, GP) if p.which == "Sg" else (E, EP)
-        pairs = [(idx(lv, 0), idx(aux, 0)) for idx in _other_levels(space, p.ion)]
-        return Operator(_swap_matrix(space, pairs))
     if isinstance(p, Carrier):
         if p.slot not in bindings:
             raise KeyError(f"carrier slot {p.slot!r} is unbound")
@@ -159,15 +141,19 @@ def pulse_unitary(
         if u.dim != 2:
             raise ValueError(f"carrier binding must be 2x2, got dim {u.dim}")
         # one (g, e) index pair per spectator level and motional level
-        pairs = np.array([
-            (idx(G, n), idx(E, n))
-            for idx in _other_levels(space, p.ion)
-            for n in range(space.fock_cutoff)
-        ])
+        pairs = _levels(space, p.ion)[[G, E]].reshape(2, -1).T
         full = np.eye(space.total_dim, dtype=np.complex128)
         full[pairs[:, :, None], pairs[:, None, :]] = u.entries
         return Operator(full)
-    raise TypeError(f"unknown pulse type: {p!r}")
+    exchange = _EXCHANGES.get((type(p), getattr(p, "which", None)))
+    if exchange is None:
+        raise TypeError(f"unknown pulse type: {p!r}")
+    idx = _levels(space, p.ion)
+    (la, na), (lb, nb) = exchange
+    a, b = idx[la, :, na], idx[lb, :, nb]
+    dest = np.arange(space.total_dim)
+    dest[a], dest[b] = b, a
+    return Operator(_permutation(dest))
 
 
 @dataclass(frozen=True)

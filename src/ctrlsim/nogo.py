@@ -16,7 +16,10 @@ ancilla prepared in |0> and traced out at the end:
 
 Matrix products above are written right to left (A acts first).  Any
 fixed operation applied to the ancilla before trace-out drops out of
-the induced channel, so it is not optimized over.
+the induced channel, so it is not optimized over.  :data:`TASKS` holds
+the two structures as table rows, and the unknown operations are always
+``{slot: Operator}`` bindings, the form the photonic and ion schemes
+take.
 
 Choi convention: unnormalized, output factor first, columns flattened
 in C order; the Choi matrix of a CPTP map on dimension D has trace D.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +44,14 @@ from .hilbert import Operator, haar_unitary
 
 CTRL_U = "ctrl_u"
 SWITCH = "switch"
-KINDS = (CTRL_U, SWITCH)
+
+# Per kind: the slots a fixed circuit inserts, in circuit order, and per
+# control value the slots the target applies to the system, first-acting
+# first.
+TASKS = {
+    CTRL_U: (("U",), ((), ("U",))),
+    SWITCH: (("Uf", "Ug"), (("Uf", "Ug"), ("Ug", "Uf"))),
+}
 
 # Temperature of the softmin that smooths the minimum over samples in
 # the search objective: the softmin lies within log(S) / 30 below the
@@ -64,13 +74,13 @@ def minimize(*args, **kwargs):
 
 
 def _check_kind(kind: str) -> str:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if kind not in TASKS:
+        raise ValueError(f"kind must be one of {tuple(TASKS)}, got {kind!r}")
     return kind
 
 
 def _n_slots(kind: str) -> int:
-    return 2 if kind == CTRL_U else 3
+    return len(TASKS[kind][0]) + 1
 
 
 def hermitian_from_params(vec: np.ndarray, dim: int) -> np.ndarray:
@@ -184,35 +194,26 @@ def param_count(kind: str, ancilla_dim: int, system_dim: int) -> int:
     return _n_slots(kind) * (ancilla_dim * 2 * system_dim) ** 2
 
 
-def _oracle_entries(kind: str, oracle) -> tuple[np.ndarray, ...]:
-    if kind == CTRL_U:
-        if not isinstance(oracle, Operator):
-            raise TypeError("ctrl_u expects a single Operator oracle")
-        return (oracle.entries,)
-    try:
-        f, g = oracle
-    except (TypeError, ValueError):
-        raise TypeError("switch expects a pair of Operators") from None
-    return (f.entries, g.entries)
+def _oracle_entries(kind: str, bindings) -> tuple[np.ndarray, ...]:
+    """Matrices of the inserted slots, in circuit order."""
+    return tuple(bindings[s].entries for s in TASKS[kind][0])
 
 
-def _circuit_unitary(pc: ParamCircuit, oracle) -> np.ndarray:
-    """Total unitary on (a, c, s) with the oracle inserted as 1_ac x U."""
-    entries = _oracle_entries(pc.kind, oracle)
+def _circuit_unitary(pc: ParamCircuit, bindings) -> np.ndarray:
+    """Total unitary on (a, c, s) with each bound slot inserted as
+    1_ac x U."""
+    entries = _oracle_entries(pc.kind, bindings)
     for u in entries:
         if u.shape != (pc.system_dim, pc.system_dim):
             raise ValueError(
-                f"oracle dimension {u.shape[0]} does not match system dim {pc.system_dim}"
+                f"binding dimension {u.shape[0]} does not match system dim {pc.system_dim}"
             )
     eye_ac = np.eye(pc.ancilla_dim * 2)
     slots = pc.slot_matrices
-    if pc.kind == CTRL_U:
-        a_mat, b_mat = slots
-        (u,) = entries
-        return b_mat @ np.kron(eye_ac, u) @ a_mat
-    a_mat, b_mat, c_mat = slots
-    uf, ug = entries
-    return c_mat @ np.kron(eye_ac, ug) @ b_mat @ np.kron(eye_ac, uf) @ a_mat
+    total = slots[-1]
+    for u, slot in zip(entries[::-1], slots[-2::-1]):
+        total = total @ np.kron(eye_ac, u) @ slot
+    return total
 
 
 def _choi_from_kraus(kraus: Sequence[np.ndarray], cs: int) -> np.ndarray:
@@ -223,14 +224,14 @@ def _choi_from_kraus(kraus: Sequence[np.ndarray], cs: int) -> np.ndarray:
     return j
 
 
-def realized_channel(pc: ParamCircuit, oracle) -> np.ndarray:
+def realized_channel(pc: ParamCircuit, bindings) -> np.ndarray:
     """Choi matrix of the induced map on (control, system).
 
     The ancilla starts in |0> and is traced out after the circuit, so
     the channel's Kraus operators are the ancilla-output blocks of the
     total unitary.
     """
-    total = _circuit_unitary(pc, oracle)
+    total = _circuit_unitary(pc, bindings)
     a, cs = pc.ancilla_dim, pc.cs_dim
     t4 = total.reshape(a, cs, a, cs)
     kraus = [t4[m, :, 0, :] for m in range(a)]
@@ -243,26 +244,28 @@ def choi_of_unitary(u: Operator) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def control_branches(kind: str, oracle) -> tuple[np.ndarray, np.ndarray]:
-    """The two control-branch operators of the controlled target:
-    ``(1, U)`` for ``ctrl_u`` and ``(Ug Uf, Uf Ug)`` for ``switch``.
+def control_branches(kind: str, bindings) -> tuple[np.ndarray, np.ndarray]:
+    """The two control-branch operators of the controlled target, from
+    the orders in :data:`TASKS`: ``(1, U)`` for ``ctrl_u`` and
+    ``(Ug Uf, Uf Ug)`` for ``switch``.
 
     The controlled target applies the first to the system when the
     control is |0> and the second when it is |1>.
     """
-    _check_kind(kind)
-    entries = _oracle_entries(kind, oracle)
-    if kind == CTRL_U:
-        (u,) = entries
-        return np.eye(u.shape[0]), u
-    uf, ug = entries
-    return ug @ uf, uf @ ug
+    slots, orders = TASKS[_check_kind(kind)]
+    dim = bindings[slots[0]].dim
+
+    def branch(order):
+        mats = [bindings[s].entries for s in order]
+        return reduce(lambda m, u: u @ m, mats) if mats else np.eye(dim)
+
+    return tuple(branch(order) for order in orders)
 
 
-def target_unitary(kind: str, oracle) -> Operator:
+def target_unitary(kind: str, bindings) -> Operator:
     """Controlled operation on (control, system) the circuit should
     reproduce: :func:`control_branches` as diagonal blocks."""
-    first, second = control_branches(kind, oracle)
+    first, second = control_branches(kind, bindings)
     zero = np.zeros(first.shape)
     return Operator(np.block([[first, zero], [zero, second]]), tol=1e-8)
 
@@ -279,16 +282,12 @@ def process_fidelity(choi: np.ndarray, target: Operator) -> float:
 
 
 def draw_samples(kind: str, system_dim: int, count: int, rng: np.random.Generator):
-    """Haar sample set standing in for the unknown operations."""
-    _check_kind(kind)
+    """Haar sample set standing in for the unknown operations: ``count``
+    bindings of the kind's slots, drawn in slot order."""
+    slots = TASKS[_check_kind(kind)][0]
     if count < 1:
         raise ValueError("sample count must be positive")
-    if kind == CTRL_U:
-        return tuple(haar_unitary(system_dim, rng) for _ in range(count))
-    return tuple(
-        (haar_unitary(system_dim, rng), haar_unitary(system_dim, rng))
-        for _ in range(count)
-    )
+    return tuple({s: haar_unitary(system_dim, rng) for s in slots} for _ in range(count))
 
 
 def worst_case_fidelity(pc: ParamCircuit, samples) -> float:
@@ -305,7 +304,7 @@ def worst_case_fidelity(pc: ParamCircuit, samples) -> float:
 def _prepare_samples(kind: str, samples):
     """Hoist the sample-dependent matrices out of the search loop.
 
-    Returns the oracles stacked as ``(S, n_insertions, d, d)`` in
+    Returns the bound slots stacked as ``(S, n_insertions, d, d)`` in
     insertion order and the conjugated targets ``(S, cs, cs)``.
     """
     if not samples:
@@ -411,25 +410,10 @@ class SearchReport:
     dims: dict
     config: SearchConfig
     best_worst_case_fidelity: float
-    per_restart: tuple[RestartResult, ...]
+    restarts: tuple[RestartResult, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dims": self.dims,
-            "config": asdict(self.config),
-            "best_worst_case_fidelity": self.best_worst_case_fidelity,
-            "restarts": [
-                {
-                    "seed": list(r.seed),
-                    "value": r.value,
-                    "iterations": r.iterations,
-                    "fevals": r.fevals,
-                    "converged": r.converged,
-                }
-                for r in self.per_restart
-            ],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -438,15 +422,15 @@ class SearchReport:
 def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
     """Multi-restart maximization of the worst-case process fidelity.
 
-    A fixed sample set is drawn once from the seed (or supplied
-    explicitly, e.g. a known oracle or a phase-closed set).  Restart 0
-    starts from zero parameters (identity slots); later restarts start
-    from random Gaussian parameters.  Each restart is one scipy L-BFGS-B
-    run on :func:`_objective`, the softmin over samples with its exact
-    gradient; its reported value is the true minimum over samples at the
-    point L-BFGS-B returns, and its iteration and evaluation counts and
-    convergence flag are scipy's.  Non-convergence is reported per
-    restart, never raised.  ``ParamCircuit`` with
+    A fixed sample set of slot bindings is drawn once from the seed (or
+    supplied explicitly, e.g. a known oracle or a phase-closed set).
+    Restart 0 starts from zero parameters (identity slots); later
+    restarts start from random Gaussian parameters.  Each restart is one
+    scipy L-BFGS-B run on :func:`_objective`, the softmin over samples
+    with its exact gradient; its reported value is the true minimum over
+    samples at the point L-BFGS-B returns, and its iteration and
+    evaluation counts and convergence flag are scipy's.  Non-convergence
+    is reported per restart, never raised.  ``ParamCircuit`` with
     :func:`worst_case_fidelity` computes the same fidelities through
     scipy's ``expm`` and is the reference the objective is tested
     against.
@@ -485,7 +469,7 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
         dims={"ancilla": a, "control": 2, "system": d},
         config=config,
         best_worst_case_fidelity=max(r.value for r in results),
-        per_restart=tuple(results),
+        restarts=tuple(results),
     )
 
 
@@ -529,12 +513,11 @@ def _logical_block(scheme, bindings) -> np.ndarray:
     return readout.conj() @ outputs.T
 
 
-def _scheme_fidelity(kind: str, scheme, oracle) -> float:
+def _scheme_fidelity(kind: str, scheme, bindings) -> float:
     """Process fidelity of a scheme's logical block against
-    :func:`target_unitary`, with its slots bound to ``oracle``."""
-    bindings = {"U": oracle} if kind == CTRL_U else dict(zip(("Uf", "Ug"), oracle))
+    :func:`target_unitary`, with its slots bound to ``bindings``."""
     block = Operator(_logical_block(scheme, bindings), claims_unitary=False)
-    return process_fidelity(choi_of_unitary(block), target_unitary(kind, oracle))
+    return process_fidelity(choi_of_unitary(block), target_unitary(kind, bindings))
 
 
 def oracle_sanity(sample_count: int = 32, internal_dim: int = 2, seed: int = 1234) -> float:
@@ -556,6 +539,6 @@ def oracle_sanity(sample_count: int = 32, internal_dim: int = 2, seed: int = 123
     worst = 1.0
     for _ in range(sample_count):
         for kind, d, scheme in schemes:
-            (oracle,) = draw_samples(kind, d, 1, rng)
-            worst = min(worst, _scheme_fidelity(kind, scheme, oracle))
+            (bindings,) = draw_samples(kind, d, 1, rng)
+            worst = min(worst, _scheme_fidelity(kind, scheme, bindings))
     return worst

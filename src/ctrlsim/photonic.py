@@ -35,6 +35,7 @@ from .hilbert import (
     Operator,
     StateVector,
     _json_field,
+    _permutation,
     subspace_embed,
 )
 
@@ -265,35 +266,26 @@ class Network:
 
 
 def _pair_permutation(space: PhotonicSpace, moves: dict[tuple[str, int], tuple[str, int]]) -> np.ndarray:
-    """Full-sector matrix of a permutation on (path, pol) pairs."""
-    d = space.internal_dim
-    n = space.total_dim
-    full = np.zeros((n, n), dtype=np.complex128)
-    eye = np.eye(d)
-    for p in space.paths:
-        for pol in (H, V):
-            q, qol = moves.get((p, pol), (p, pol))
-            r0 = space.flat(q, qol, 0)
-            c0 = space.flat(p, pol, 0)
-            full[r0 : r0 + d, c0 : c0 + d] = eye
-    return full
+    """Full-sector matrix of a permutation on (path, pol) pairs; pairs
+    not in ``moves`` stay put."""
+    block = {p: 2 * k for k, p in enumerate(space.paths)}  # row of (p, H); (p, V) is next
+    dest = np.arange(space.total_dim).reshape(-1, space.internal_dim)
+    home = dest.copy()
+    for (p, pol), (q, qol) in moves.items():
+        dest[block[p] + pol] = home[block[q] + qol]
+    return _permutation(dest.reshape(-1))
 
 
 def _pbs_moves(e: PBS) -> dict[tuple[str, int], tuple[str, int]]:
-    swaps = set()
-    for i in (0, 1):
-        swaps.add(frozenset([(e.in_ports[i], H), (e.out_ports[i], H)]))
-        swaps.add(frozenset([(e.in_ports[i], V), (e.out_ports[1 - i], V)]))
     moves: dict[tuple[str, int], tuple[str, int]] = {}
-    for swap in swaps:
-        pair = sorted(swap)
-        if len(pair) == 1:  # port maps to itself
-            continue
-        a, b = pair
-        if a in moves or b in moves:
-            raise ValueError(f"PBS port wiring is not a valid permutation: {e}")
-        moves[a] = b
-        moves[b] = a
+    for i in (0, 1):
+        for a, b in (
+            ((e.in_ports[i], H), (e.out_ports[i], H)),
+            ((e.in_ports[i], V), (e.out_ports[1 - i], V)),
+        ):
+            # each exchange is set both ways; a port wired twice fails
+            if a != b and (moves.setdefault(a, b) != b or moves.setdefault(b, a) != a):
+                raise ValueError(f"PBS port wiring is not a valid permutation: {e}")
     return moves
 
 
@@ -547,12 +539,15 @@ def preset_ctrl_u_monitored(internal_dim: int) -> Network:
 def preset_ctrl_switch(internal_dim: int) -> Network:
     """Interferometer controlling the order of two unknown devices.
 
-    Polarization-loop routing: the H component traverses the ``Uf``
-    device then the ``Ug`` device, the V component the other way
-    around.  Half-wave plates flip the polarization between the two
-    passes and a path swap exchanges the arms, so each device is a
-    single inserted element traversed twice.  The components recombine
-    at the final PBS on path ``g``.
+    Polarization-loop routing: the first PBS sends the H component
+    along path ``f`` through the ``Uf`` device and the V component along
+    ``g`` through the ``Ug`` device; the path swap then sends each
+    component through the other device, so each device is a single
+    inserted element traversed twice.  The components recombine at the
+    final PBS on path ``g``.  The two pairs of half-wave plates flip the
+    polarization on both paths, before and after the swap; that flip
+    commutes with the polarization-blind devices and with the swap, so
+    the pairs cancel and the network unitary is the same without them.
 
     Output for (alpha |H> + beta |V>) |psi> is
     alpha |H> Ug Uf |psi> + beta |V> Uf Ug |psi>.

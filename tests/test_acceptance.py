@@ -264,7 +264,7 @@ def test_criterion_8_nogo_falsification():
         restarts=2, max_iters=300, sample_count=1, seed=42, system_dim=2, ancilla_dim=2
     )
     control = nogo.optimize(
-        nogo.CTRL_U, control_cfg, samples=(Operator(np.eye(2)),)
+        nogo.CTRL_U, control_cfg, samples=({"U": Operator(np.eye(2))},)
     ).best_worst_case_fidelity
     elapsed = time.perf_counter() - start
     ok = (
@@ -310,12 +310,8 @@ def test_criterion_9_invariants_and_determinism():
     for kind in (nogo.CTRL_U, nogo.SWITCH):
         n = nogo.param_count(kind, 2, 2)
         pc = nogo.ParamCircuit(kind, 2, 2, rng.normal(size=n))
-        oracle = (
-            haar_unitary(2, rng)
-            if kind == nogo.CTRL_U
-            else (haar_unitary(2, rng), haar_unitary(2, rng))
-        )
-        choi = nogo.realized_channel(pc, oracle)
+        (sample,) = nogo.draw_samples(kind, 2, 1, rng)
+        choi = nogo.realized_channel(pc, sample)
         if np.max(np.abs(choi - choi.conj().T)) > 1e-8:
             problems.append(f"{kind} Choi not Hermitian")
         if float(np.min(np.linalg.eigvalsh(choi))) < -1e-8:

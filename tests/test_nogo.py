@@ -27,25 +27,22 @@ from ctrlsim.nogo import (
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def circuit_unitary_oracle(pc, oracle):
+def circuit_unitary_oracle(pc, bindings):
     """Independent composition of the circuit's total unitary."""
     eye_ac = np.eye(pc.ancilla_dim * 2)
     slots = list(pc.slot_matrices)
-    if pc.kind == CTRL_U:
-        ins = [np.kron(eye_ac, oracle.entries)]
-    else:
-        ins = [np.kron(eye_ac, u.entries) for u in oracle]
+    ins = [np.kron(eye_ac, bindings[s].entries) for s in nogo.TASKS[pc.kind][0]]
     total = slots[0]
     for insertion, slot in zip(ins, slots[1:]):
         total = slot @ insertion @ total
     return total
 
 
-def choi_oracle(pc, oracle):
+def choi_oracle(pc, bindings):
     """Basis-enumeration Choi matrix: evolve every matrix unit
     |i><j| with the ancilla attached, trace the ancilla by explicit
     index summation, and assemble sum_ij E(|i><j|) (x) |i><j|."""
-    total = circuit_unitary_oracle(pc, oracle)
+    total = circuit_unitary_oracle(pc, bindings)
     a, cs = pc.ancilla_dim, 2 * pc.system_dim
     anc = np.zeros((a, a), dtype=complex)
     anc[0, 0] = 1.0
@@ -112,7 +109,7 @@ class TestRealizedChannel:
         rng = np.random.default_rng(2)
         u = haar_unitary(2, rng)
         pc = ParamCircuit(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)))
-        choi = realized_channel(pc, u)
+        choi = realized_channel(pc, {"U": u})
         want = choi_of_unitary(Operator(np.kron(np.eye(2), u.entries)))
         assert np.max(np.abs(choi - want)) < 1e-12
 
@@ -120,12 +117,8 @@ class TestRealizedChannel:
     def test_choi_is_cptp(self, kind):
         rng = np.random.default_rng(3)
         pc = ParamCircuit(kind, 2, 2, rng.normal(size=param_count(kind, 2, 2)))
-        oracle = (
-            haar_unitary(2, rng)
-            if kind == CTRL_U
-            else (haar_unitary(2, rng), haar_unitary(2, rng))
-        )
-        choi = realized_channel(pc, oracle)
+        (bindings,) = draw_samples(kind, 2, 1, rng)
+        choi = realized_channel(pc, bindings)
         d = 2
         assert np.max(np.abs(choi - choi.conj().T)) < 1e-8
         assert float(np.min(np.linalg.eigvalsh(choi))) > -1e-8
@@ -139,28 +132,24 @@ class TestRealizedChannel:
     def test_against_basis_enumeration_oracle(self, kind):
         rng = np.random.default_rng(4)
         pc = ParamCircuit(kind, 2, 2, rng.normal(size=param_count(kind, 2, 2)))
-        oracle = (
-            haar_unitary(2, rng)
-            if kind == CTRL_U
-            else (haar_unitary(2, rng), haar_unitary(2, rng))
-        )
-        choi = realized_channel(pc, oracle)
-        assert np.max(np.abs(choi - choi_oracle(pc, oracle))) < 1e-10
+        (bindings,) = draw_samples(kind, 2, 1, rng)
+        choi = realized_channel(pc, bindings)
+        assert np.max(np.abs(choi - choi_oracle(pc, bindings))) < 1e-10
 
     def test_oracle_dimension_mismatch(self):
         pc = ParamCircuit(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)))
         with pytest.raises(ValueError):
-            realized_channel(pc, Operator(np.eye(3)))
+            realized_channel(pc, {"U": Operator(np.eye(3))})
 
     def test_switch_needs_pair(self):
         pc = ParamCircuit(SWITCH, 1, 2, np.zeros(param_count(SWITCH, 1, 2)))
-        with pytest.raises(TypeError):
-            realized_channel(pc, Operator(np.eye(2)))
+        with pytest.raises(KeyError):
+            realized_channel(pc, {"Uf": Operator(np.eye(2))})
 
 
 class TestTargetUnitary:
     def test_ctrl_x(self):
-        t = target_unitary(CTRL_U, Operator(X))
+        t = target_unitary(CTRL_U, {"U": Operator(X)})
         want = np.eye(4, dtype=complex)
         want[2:, 2:] = X
         assert np.array_equal(t.entries, want)
@@ -168,13 +157,13 @@ class TestTargetUnitary:
     def test_equal_pulses_make_control_independent_blocks(self):
         rng = np.random.default_rng(5)
         u = haar_unitary(2, rng)
-        t = target_unitary(SWITCH, (u, u))
+        t = target_unitary(SWITCH, {"Uf": u, "Ug": u})
         assert np.max(np.abs(t.entries - np.kron(np.eye(2), u.entries @ u.entries))) < 1e-12
 
     def test_haar_pair_against_block_assembly(self):
         rng = np.random.default_rng(6)
         uf, ug = haar_unitary(2, rng), haar_unitary(2, rng)
-        t = target_unitary(SWITCH, (uf, ug))
+        t = target_unitary(SWITCH, {"Uf": uf, "Ug": ug})
         top = ug.entries @ uf.entries
         bottom = uf.entries @ ug.entries
         assert np.max(np.abs(t.entries[:2, :2] - top)) < 1e-12
@@ -184,9 +173,9 @@ class TestTargetUnitary:
     def test_control_branches(self):
         rng = np.random.default_rng(7)
         u, uf, ug = (haar_unitary(3, rng) for _ in range(3))
-        m0, m1 = nogo.control_branches(CTRL_U, u)
+        m0, m1 = nogo.control_branches(CTRL_U, {"U": u})
         assert np.array_equal(m0, np.eye(3)) and np.array_equal(m1, u.entries)
-        m0, m1 = nogo.control_branches(SWITCH, (uf, ug))
+        m0, m1 = nogo.control_branches(SWITCH, {"Uf": uf, "Ug": ug})
         assert np.array_equal(m0, ug.entries @ uf.entries)
         assert np.array_equal(m1, uf.entries @ ug.entries)
 
@@ -200,18 +189,18 @@ class TestProcessFidelity:
     def test_wire_insertion_vs_ctrl_x_quarter(self):
         # |Tr((ctrl-X)^dag (1 (x) X))|^2 / 16 = 0.25
         wire = Operator(np.kron(np.eye(2), X))
-        target = target_unitary(CTRL_U, Operator(X))
+        target = target_unitary(CTRL_U, {"U": Operator(X)})
         assert abs(process_fidelity(choi_of_unitary(wire), target) - 0.25) < 1e-12
 
 
 class TestWorstCaseFidelity:
     def test_identity_everything(self):
         pc = ParamCircuit(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)))
-        assert abs(worst_case_fidelity(pc, (Operator(np.eye(2)),)) - 1) < 1e-12
+        assert abs(worst_case_fidelity(pc, ({"U": Operator(np.eye(2))},)) - 1) < 1e-12
 
     def test_sigma_x_sample_gives_quarter(self):
         pc = ParamCircuit(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)))
-        assert abs(worst_case_fidelity(pc, (Operator(X),)) - 0.25) < 1e-12
+        assert abs(worst_case_fidelity(pc, ({"U": Operator(X)},)) - 0.25) < 1e-12
 
     def test_direct_sum_oracle_realizes_target_exactly(self):
         # the physically realized insertion (identity (+) U) is the
@@ -222,7 +211,7 @@ class TestWorstCaseFidelity:
             block = np.eye(4, dtype=complex)
             block[2:, 2:] = u.entries
             f = process_fidelity(
-                choi_of_unitary(Operator(block)), target_unitary(CTRL_U, u)
+                choi_of_unitary(Operator(block)), target_unitary(CTRL_U, {"U": u})
             )
             assert f >= 1 - 1e-12
 
@@ -323,8 +312,8 @@ class TestOptimize:
         rep2 = optimize(CTRL_U, cfg)
         assert rep1.to_json() == rep2.to_json()
         assert 0.0 <= rep1.best_worst_case_fidelity <= 1.0 + 1e-8
-        assert len(rep1.per_restart) == 2
-        assert rep1.per_restart[0].seed == (5, 0)
+        assert len(rep1.restarts) == 2
+        assert rep1.restarts[0].seed == (5, 0)
         data = rep1.to_json_dict()
         assert set(data) == {"kind", "dims", "config", "best_worst_case_fidelity", "restarts"}
         assert set(data["config"]) == {
@@ -342,14 +331,14 @@ class TestOptimize:
     def test_regression_pin(self, kind):
         cfg = SearchConfig(restarts=2, max_iters=60, sample_count=3, seed=5)
         rep = optimize(kind, cfg)
-        assert len(rep.per_restart) == len(self.PIN[kind])
-        for got, (converged, value) in zip(rep.per_restart, self.PIN[kind]):
+        assert len(rep.restarts) == len(self.PIN[kind])
+        for got, (converged, value) in zip(rep.restarts, self.PIN[kind]):
             assert got.converged == converged
             assert abs(got.value - value) < 1e-6
 
     def test_known_oracle_is_reachable(self):
         cfg = SearchConfig(restarts=1, max_iters=50, sample_count=1, seed=3)
-        rep = optimize(CTRL_U, cfg, samples=(Operator(np.eye(2)),))
+        rep = optimize(CTRL_U, cfg, samples=({"U": Operator(np.eye(2))},))
         assert rep.best_worst_case_fidelity >= 1 - 1e-6
 
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
@@ -392,10 +381,10 @@ class TestOptimize:
         # under U -> -U no circuit exceeds worst-case fidelity 1/2
         rng = np.random.default_rng(40)
         bases = [haar_unitary(2, rng).entries for _ in range(8)]
-        samples = tuple(Operator(p * u) for u in bases for p in (1, -1, 1j, -1j))
+        samples = tuple({"U": Operator(p * u)} for u in bases for p in (1, -1, 1j, -1j))
         cfg = SearchConfig(restarts=4, ancilla_dim=ancilla, seed=41)
         rep = optimize(CTRL_U, cfg, samples=samples)
-        assert all(r.converged for r in rep.per_restart)
+        assert all(r.converged for r in rep.restarts)
         assert rep.best_worst_case_fidelity <= 0.5 + 1e-9
 
 
@@ -411,8 +400,8 @@ class TestOracleSanity:
     def test_every_scheme_scored_by_process_fidelity(self, d, monkeypatch):
         scored = []
 
-        def spy(kind, scheme, oracle):
-            value = real(kind, scheme, oracle)
+        def spy(kind, scheme, bindings):
+            value = real(kind, scheme, bindings)
             scored.append((kind, type(scheme).__name__, value))
             return value
 
@@ -430,10 +419,10 @@ class TestOracleSanity:
         rng = np.random.default_rng(31)
         uf, ug = haar_unitary(3, rng), haar_unitary(3, rng)
         block = nogo._logical_block(photonic.preset_ctrl_switch(3), {"Uf": uf, "Ug": ug})
-        assert np.max(np.abs(block - target_unitary(SWITCH, (uf, ug)).entries)) < 1e-12
+        assert np.max(np.abs(block - target_unitary(SWITCH, {"Uf": uf, "Ug": ug}).entries)) < 1e-12
         u = haar_unitary(2, rng)
         block = nogo._logical_block(ion.seq_ctrl_u(), {"U": u})
-        assert np.max(np.abs(block - target_unitary(CTRL_U, u).entries)) < 1e-12
+        assert np.max(np.abs(block - target_unitary(CTRL_U, {"U": u}).entries)) < 1e-12
 
     def test_miswired_schemes_score_below_one(self):
         # the device on the H arm realizes U (+) 1; an ion sequence without
@@ -447,11 +436,11 @@ class TestOracleSanity:
         )
         rng = np.random.default_rng(32)
         for _ in range(8):
-            u = haar_unitary(2, rng)
+            u = {"U": haar_unitary(2, rng)}
             assert nogo._scheme_fidelity(CTRL_U, photonic.preset_ctrl_u(2), u) >= 1 - 1e-10
             assert nogo._scheme_fidelity(CTRL_U, wrong_arm, u) < 0.9
             assert nogo._scheme_fidelity(CTRL_U, no_swaps, u) < 0.9
-        x = Operator(X)
+        x = {"U": Operator(X)}
         assert abs(nogo._scheme_fidelity(CTRL_U, wrong_arm, x)) < 1e-12  # |2 Re Tr X|^2 / 16
         assert abs(nogo._scheme_fidelity(CTRL_U, no_swaps, x) - 0.25) < 1e-12  # |Tr X + 2|^2 / 16
 
@@ -489,7 +478,6 @@ def test_every_element_is_needed(kind, build, unchanged):
     else:
         stages, rebuild = scheme.pulses, ion.PulseSequence
     samples = draw_samples(kind, 2, 8, np.random.default_rng(33))
-    bindings = [{"U": s} if kind == CTRL_U else dict(zip(("Uf", "Ug"), s)) for s in samples]
     assert min(nogo._scheme_fidelity(kind, scheme, s) for s in samples) >= 1 - 1e-10
     for name, kept in _ablations(stages):
         try:
@@ -498,7 +486,7 @@ def test_every_element_is_needed(kind, build, unchanged):
         except (ValueError, KeyError):
             continue
         if name in unchanged:
-            for b in bindings:
+            for b in samples:
                 diff = nogo._logical_block(ablated, b) - nogo._logical_block(scheme, b)
                 assert np.max(np.abs(diff)) < 1e-12, name
         else:
