@@ -99,8 +99,7 @@ def _matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
     return [_complex_pairs(row) for row in m]
 
 
-def _write_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
         print(text)
         return
@@ -155,16 +154,19 @@ def _parse_psi(text: str | None, dim: int) -> np.ndarray:
 
 def _collect_bindings(args, slots, dim: int) -> tuple[dict[str, str], dict[str, Operator]]:
     """Map slot names to their specs and parsed gates from --u/--uf/--ug/--bind."""
-    specs: dict[str, str] = {}
+    pairs = []
     for entry in args.bind or []:
         slot, eq, spec = entry.partition("=")
         if not eq:
             raise ValueError(f"--bind expects SLOT=SPEC, got {entry!r}")
-        specs[slot] = spec
+        pairs.append((slot, spec))
     sugar = {"U": args.u, "Uf": args.uf, "Ug": args.ug}
-    for slot, spec in sugar.items():
-        if spec is not None:
-            specs[slot] = spec
+    pairs += [(slot, spec) for slot, spec in sugar.items() if spec is not None]
+    specs: dict[str, str] = {}
+    for slot, spec in pairs:
+        if slot in specs:
+            raise ValueError(f"slot {slot!r} is bound twice")
+        specs[slot] = spec
     missing = set(slots) - set(specs)
     if missing:
         raise ValueError(f"missing gate bindings for slots: {sorted(missing)}")
@@ -193,7 +195,7 @@ def _build_preset(args):
 
 
 def _run(args, family: str, scheme, scheme_id: str, kind: str | None) -> tuple[dict, int]:
-    dim, make_input, place_out, propagate = nogo.logical_map(scheme, fock_cutoff=args.fock)
+    dim, place_in, place_out, propagate = nogo.logical_map(scheme, fock_cutoff=args.fock)
     if args.dim is not None and args.dim != dim:
         raise ValueError(f"--dim {args.dim} disagrees with the scheme's system dimension {dim}")
     specs, bindings = _collect_bindings(args, sorted(scheme.slots), dim)
@@ -206,7 +208,7 @@ def _run(args, family: str, scheme, scheme_id: str, kind: str | None) -> tuple[d
     if args.sample and not monitored:
         raise ValueError("--sample needs a network with a monitored device")
     rng = np.random.default_rng(args.seed) if args.sample else None
-    outcome = propagate(make_input((alpha, beta), psi), bindings, rng=rng)
+    outcome = propagate(place_in(np.kron([alpha, beta], psi)), bindings, rng=rng)
 
     target = None
     if kind is not None:
@@ -275,7 +277,7 @@ def _cmd_run(args) -> int:
         with open(path) as fh:
             scheme = load(fh.read())
         report, code = _run(args, family, scheme, path, None)
-    _write_json(report, args.out)
+    _write(json.dumps(report, indent=2, sort_keys=True), args.out)
     return code
 
 
@@ -290,7 +292,7 @@ def _cmd_nogo(args) -> int:
         ancilla_dim=args.ancilla,
     )
     report = nogo.optimize(kind, config)
-    _write_json(report.to_json_dict(), args.out)
+    _write(report.to_json(), args.out)
     return 0
 
 
@@ -298,7 +300,7 @@ def _cmd_emit_scheme(args) -> int:
     family, scheme, _ = _build_preset(args)
     if family == "ion" and args.dim not in (None, 2):
         raise ValueError(f"--dim {args.dim} disagrees with the ion system dimension 2")
-    _write_json(scheme.to_json_dict() if family == "photonic" else scheme.to_json_list(), args.out)
+    _write(scheme.to_json(), args.out)
     return 0
 
 

@@ -12,10 +12,14 @@ Conventions used by every module in this package:
 * Randomness flows through an explicit ``numpy.random.Generator``
   supplied by the caller.  Nothing in this package touches numpy's
   global random state.
+* Photonic networks and ion pulse sequences share one scheme layer,
+  kept here: ``_slot_binding``, ``_compile_once``, ``_slot_counts`` and
+  the JSON reader ``_json_field``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -236,11 +240,40 @@ def _json_field(obj, key: str, kind: type, items: type | None = None):
     entries of type ``items``); any other shape raises ``ValueError``."""
     if type(obj) is not dict:
         raise ValueError(f"expected a JSON object with field {key!r}, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"JSON object lacks the field {key!r}: {obj!r}")
     value = obj[key]
     entries = value if items is not None and type(value) is list else ()
     if type(value) is not kind or any(type(v) is not items for v in entries):
         raise ValueError(f"field {key!r} has the wrong JSON type: {value!r}")
     return value
+
+
+def _slot_binding(bindings: Mapping[str, Operator] | None, slot: str, dim: int) -> np.ndarray:
+    """Matrix bound to ``slot``: unbound raises ``KeyError``, a binding
+    that is not a unitary of dimension ``dim`` raises ``ValueError``."""
+    if not bindings or slot not in bindings:
+        raise KeyError(f"slot {slot!r} is unbound")
+    u = bindings[slot]
+    if not u.claims_unitary:
+        raise ValueError(f"binding for slot {slot!r} is not unitary")
+    if u.dim != dim:
+        raise ValueError(f"binding for slot {slot!r} has dim {u.dim}, the slot acts on dim {dim}")
+    return u.entries
+
+
+def _slot_counts(stages) -> dict[str, int]:
+    """Slot name to the number of stage positions that carry it; the
+    stages that take a bound operation are those with a ``slot`` field."""
+    return dict(Counter(stage.slot for stage in stages if hasattr(stage, "slot")))
+
+
+def _compile_once(stages, build) -> list[np.ndarray]:
+    """``build(stage)`` for every stage position: each distinct stage is
+    built once, in order of first appearance, and its matrix reused at
+    every position it occupies."""
+    built = {stage: build(stage) for stage in dict.fromkeys(stages)}
+    return [built[stage] for stage in stages]
 
 
 def _require_same_space(a: HilbertSpace, b: HilbertSpace) -> None:

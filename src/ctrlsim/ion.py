@@ -26,12 +26,21 @@ interactions separately.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Mapping, Union
+from dataclasses import asdict, dataclass
+from typing import Mapping, Union, get_type_hints
 
 import numpy as np
 
-from .hilbert import HilbertSpace, Operator, StateVector, _json_field, _permutation
+from .hilbert import (
+    HilbertSpace,
+    Operator,
+    StateVector,
+    _compile_once,
+    _json_field,
+    _permutation,
+    _slot_binding,
+    _slot_counts,
+)
 
 G, E, GP, EP = 0, 1, 2, 3
 
@@ -107,6 +116,19 @@ class SigmaX:
 
 Pulse = Union[SidebandSwap, Hiding, Carrier, SigmaX]
 
+# JSON tag -> (pulse class, {field: JSON type}); a pulse is written as
+# {"type": tag, **fields}
+_PULSE_JSON = {
+    tag: (cls, get_type_hints(cls))
+    for tag, cls in (
+        ("sideband_swap", SidebandSwap),
+        ("hiding", Hiding),
+        ("carrier", Carrier),
+        ("sigma_x", SigmaX),
+    )
+}
+_PULSE_TAG = {cls: tag for tag, (cls, _) in _PULSE_JSON.items()}
+
 # The (level, n) <-> (level, n) exchange each fixed pulse makes on its
 # ion, whatever the other ion's level.
 _EXCHANGES = {
@@ -131,19 +153,12 @@ def pulse_unitary(
     p: Pulse, space: TrapSpace, bindings: Mapping[str, Operator] | None = None
 ) -> Operator:
     """Full-space unitary of one ideal pulse."""
-    bindings = bindings or {}
     if isinstance(p, Carrier):
-        if p.slot not in bindings:
-            raise KeyError(f"carrier slot {p.slot!r} is unbound")
-        u = bindings[p.slot]
-        if not u.claims_unitary:
-            raise ValueError(f"binding for slot {p.slot!r} is not unitary")
-        if u.dim != 2:
-            raise ValueError(f"carrier binding must be 2x2, got dim {u.dim}")
+        u = _slot_binding(bindings, p.slot, 2)
         # one (g, e) index pair per spectator level and motional level
         pairs = _levels(space, p.ion)[[G, E]].reshape(2, -1).T
         full = np.eye(space.total_dim, dtype=np.complex128)
-        full[pairs[:, :, None], pairs[:, None, :]] = u.entries
+        full[pairs[:, :, None], pairs[:, None, :]] = u
         return Operator(full)
     exchange = _EXCHANGES.get((type(p), getattr(p, "which", None)))
     if exchange is None:
@@ -167,11 +182,7 @@ class PulseSequence:
 
     @property
     def slots(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for p in self.pulses:
-            if isinstance(p, Carrier):
-                counts[p.slot] = counts.get(p.slot, 0) + 1
-        return counts
+        return _slot_counts(self.pulses)
 
     def slot_info(self) -> dict[str, dict[str, int]]:
         """One laser pulse per slot; repeats are mirror returns."""
@@ -181,17 +192,7 @@ class PulseSequence:
         }
 
     def to_json_list(self) -> list[dict]:
-        entries = []
-        for p in self.pulses:
-            if isinstance(p, SidebandSwap):
-                entries.append({"type": "sideband_swap", "ion": p.ion})
-            elif isinstance(p, Hiding):
-                entries.append({"type": "hiding", "ion": p.ion, "which": p.which})
-            elif isinstance(p, Carrier):
-                entries.append({"type": "carrier", "ion": p.ion, "slot": p.slot})
-            else:
-                entries.append({"type": "sigma_x", "ion": p.ion, "which": p.which})
-        return entries
+        return [{"type": _PULSE_TAG[type(p)], **asdict(p)} for p in self.pulses]
 
     @classmethod
     def from_json_list(cls, entries) -> "PulseSequence":
@@ -200,17 +201,10 @@ class PulseSequence:
         pulses: list[Pulse] = []
         for entry in entries:
             kind = _json_field(entry, "type", str)
-            ion = _json_field(entry, "ion", int)
-            if kind == "sideband_swap":
-                pulses.append(SidebandSwap(ion))
-            elif kind == "hiding":
-                pulses.append(Hiding(ion, entry["which"]))
-            elif kind == "carrier":
-                pulses.append(Carrier(ion, _json_field(entry, "slot", str)))
-            elif kind == "sigma_x":
-                pulses.append(SigmaX(ion, entry["which"]))
-            else:
+            if kind not in _PULSE_JSON:
                 raise ValueError(f"unknown pulse type {kind!r}")
+            pulse, types = _PULSE_JSON[kind]
+            pulses.append(pulse(**{f: _json_field(entry, f, t) for f, t in types.items()}))
         return cls(pulses)
 
     def to_json(self) -> str:
@@ -233,13 +227,11 @@ def run_sequence(
         space = TrapSpace(fock_cutoff=n)
     if init.space.factors != space.hilbert.factors:
         raise ValueError("initial state does not live on the trap space")
-    cache: dict[Pulse, np.ndarray] = {}
+    mats = _compile_once(seq.pulses, lambda p: pulse_unitary(p, space, bindings).entries)
     state = np.array(init.amps)
     trace: list[StateVector] = []
-    for p in seq.pulses:
-        if p not in cache:
-            cache[p] = pulse_unitary(p, space, bindings).entries
-        state = cache[p] @ state
+    for u in mats:
+        state = u @ state
         trace.append(StateVector(space.hilbert, state))
     final = trace[-1] if trace else init
     return final, trace

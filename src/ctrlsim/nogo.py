@@ -475,21 +475,22 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
 
 def logical_map(scheme, fock_cutoff: int = 3) -> tuple:
     """How a photonic network or an ion pulse sequence meets the logical
-    (control, system) space: ``(dim, make_input, place_out, propagate)``.
+    (control, system) space: ``(dim, place_in, place_out, propagate)``.
 
-    ``dim`` is the system dimension, ``make_input(control_amps,
-    system_amps)`` the input state, ``place_out(vector)`` puts a logical
-    vector of length ``2 * dim`` on the output side, and
+    ``dim`` is the system dimension; ``place_in(vector)`` and
+    ``place_out(vector)`` put a logical vector of length ``2 * dim``
+    (control index slowest) on the input and the output side, and
     ``propagate(input, bindings, rng=None)`` returns the outcome.  A
     photon enters and leaves on the network's input and output paths;
-    the ions carry the logical qubits with the mode, truncated at
-    ``fock_cutoff``, in n = 0, and their final ket is a ``PureOutcome``.
+    the ions carry the logical qubits on both sides with the mode,
+    truncated at ``fock_cutoff``, in n = 0, and their final ket is a
+    ``PureOutcome``.
     """
     if isinstance(scheme, photonic.Network):
         space = scheme.space
         return (
             space.internal_dim,
-            partial(photonic.photon_input, space, scheme.input_path),
+            partial(photonic.place_on_path, space, scheme.input_path),
             partial(photonic.place_on_path, space, scheme.output_path),
             partial(photonic.propagate, scheme),
         )
@@ -498,18 +499,18 @@ def logical_map(scheme, fock_cutoff: int = 3) -> tuple:
     def propagate(init, bindings, rng=None):
         return photonic.PureOutcome(ion.run_sequence(scheme, init, bindings, space=space)[0])
 
-    return 2, partial(ion.ion_input, space), partial(ion.place_logical, space), propagate
+    place = partial(ion.place_logical, space)
+    return 2, place, place, propagate
 
 
 def _logical_block(scheme, bindings) -> np.ndarray:
     """A scheme's restriction to the logical (control, system) space, as
-    a ``2d x 2d`` matrix: column ``(c, s)`` is the logical output of the
-    logical basis input ``|c>|s>``."""
-    dim, make_input, place_out, propagate = logical_map(scheme)
-    outputs = np.array([
-        propagate(make_input(c, s), bindings).state.amps for c in np.eye(2) for s in np.eye(dim)
-    ])
-    readout = np.array([place_out(e).amps for e in np.eye(2 * dim)])
+    a ``2d x 2d`` matrix: column ``k`` is the logical output of the
+    logical basis input ``k = d c + s``."""
+    dim, place_in, place_out, propagate = logical_map(scheme)
+    basis = np.eye(2 * dim)
+    outputs = np.array([propagate(place_in(e), bindings).state.amps for e in basis])
+    readout = np.array([place_out(e).amps for e in basis])
     return readout.conj() @ outputs.T
 
 

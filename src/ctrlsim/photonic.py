@@ -34,8 +34,11 @@ from .hilbert import (
     HilbertSpace,
     Operator,
     StateVector,
+    _compile_once,
     _json_field,
     _permutation,
+    _slot_binding,
+    _slot_counts,
     subspace_embed,
 )
 
@@ -197,11 +200,7 @@ class Network:
     @property
     def slots(self) -> dict[str, int]:
         """Slot name to number of stage traversals."""
-        counts: dict[str, int] = {}
-        for e in self.stages:
-            if isinstance(e, (Device, MonitoredDevice)):
-                counts[e.slot] = counts.get(e.slot, 0) + 1
-        return counts
+        return _slot_counts(self.stages)
 
     def slot_info(self) -> dict[str, dict[str, int]]:
         """Single-use accounting: one inserted device per slot."""
@@ -293,7 +292,6 @@ def element_unitary(
     e: Element, space: PhotonicSpace, bindings: Mapping[str, Operator] | None = None
 ) -> Operator:
     """Full single-photon-sector unitary of one element."""
-    bindings = bindings or {}
     if isinstance(e, PBS):
         return Operator(_pair_permutation(space, _pbs_moves(e)))
     if isinstance(e, HWP):
@@ -306,19 +304,10 @@ def element_unitary(
         }
         return Operator(_pair_permutation(space, moves))
     if isinstance(e, (Device, MonitoredDevice)):
-        if e.slot not in bindings:
-            raise KeyError(f"slot {e.slot!r} is unbound")
-        u = bindings[e.slot]
-        if not u.claims_unitary:
-            raise ValueError(f"binding for slot {e.slot!r} is not unitary")
-        if u.dim != space.internal_dim:
-            raise ValueError(
-                f"binding for slot {e.slot!r} has dim {u.dim}, "
-                f"internal dim is {space.internal_dim}"
-            )
+        u = _slot_binding(bindings, e.slot, space.internal_dim)
         sl = space.path_slice(e.path)
         block = DirectSumBlock(range(sl.start, sl.stop), space.total_dim)
-        return subspace_embed(Operator(np.kron(np.eye(2), u.entries)), block)
+        return subspace_embed(Operator(np.kron(np.eye(2), u)), block)
     raise TypeError(f"unknown element type: {e!r}")
 
 
@@ -352,31 +341,12 @@ SchemeOutcome = Union[PureOutcome, MixedOutcome, SampledOutcome]
 _BRANCH_CUTOFF = 1e-14
 
 
-def _check_bindings(net: Network, bindings: Mapping[str, Operator]) -> None:
-    missing = set(net.slots) - set(bindings)
-    if missing:
-        raise KeyError(f"missing bindings for slots: {sorted(missing)}")
+def _compile(net: Network, bindings: Mapping[str, Operator]) -> list[np.ndarray]:
+    return _compile_once(net.stages, lambda e: element_unitary(e, net.space, bindings).entries)
 
 
-def _path_mask(space: PhotonicSpace, path: str) -> np.ndarray:
-    mask = np.zeros(space.total_dim)
-    sl = space.path_slice(path)
-    mask[sl] = 1.0
-    return mask
-
-
-def _compile(net: Network, bindings: Mapping[str, Operator]):
-    """Per-stage (matrix, monitored path) list; monitor is None for
-    plain elements.  Each distinct element is compiled once and its
-    matrix reused at every stage position it occupies."""
-    cache: dict[Element, np.ndarray] = {}
-    compiled = []
-    for e in net.stages:
-        if e not in cache:
-            cache[e] = element_unitary(e, net.space, bindings).entries
-        monitor = e.path if isinstance(e, MonitoredDevice) else None
-        compiled.append((cache[e], monitor))
-    return compiled
+def _outcome_key(record: tuple[int, ...]) -> int | tuple[int, ...]:
+    return record[0] if len(record) == 1 else record
 
 
 def propagate(
@@ -387,57 +357,42 @@ def propagate(
 ) -> SchemeOutcome:
     """Run a photon through the network.
 
-    Without monitored devices the result is ``PureOutcome``.  With a
-    monitored device the non-demolition measurement splits the state
+    Without monitored devices the result is ``PureOutcome``.  Each
+    monitored device's non-demolition measurement splits every branch
     into a photon-present branch (outcome 1) and a photon-absent branch
-    (outcome 0); the full ensemble is returned as ``MixedOutcome``
-    unless ``rng`` is given, in which case one branch is sampled.
+    (outcome 0).  The full ensemble is returned as ``MixedOutcome``
+    unless ``rng`` is given; then one branch is drawn from it, with a
+    single ``rng.random()``, and returned as ``SampledOutcome``.
     """
     if input_state.space.factors != net.space.hilbert.factors:
         raise ValueError("input state does not live on the network space")
-    _check_bindings(net, bindings)
-    compiled = _compile(net, bindings)
 
     # ensemble of (probability, amplitudes, outcome record)
     branches = [(1.0, np.array(input_state.amps), ())]
-    sampled = rng is not None
-    for u, monitor in compiled:
-        if monitor is not None:
-            mask = _path_mask(net.space, monitor)
-            new_branches = []
+    for e, u in zip(net.stages, _compile(net, bindings)):
+        if isinstance(e, MonitoredDevice):
+            mask = np.zeros(net.space.total_dim)
+            mask[net.space.path_slice(e.path)] = 1.0
+            split = []
             for prob, amps, rec in branches:
                 present = amps * mask
-                p1 = float(np.real(np.vdot(present, present)))
-                p1 = min(max(p1, 0.0), 1.0)
-                options = []
+                p1 = min(max(float(np.real(np.vdot(present, present))), 0.0), 1.0)
                 if 1.0 - p1 > _BRANCH_CUTOFF:
                     absent = amps * (1.0 - mask)
-                    options.append((1.0 - p1, absent / np.sqrt(1.0 - p1), rec + (0,)))
+                    split.append((prob * (1.0 - p1), absent / np.sqrt(1.0 - p1), rec + (0,)))
                 if p1 > _BRANCH_CUTOFF:
-                    options.append((p1, present / np.sqrt(p1), rec + (1,)))
-                if sampled:
-                    weights = np.array([w for w, _, _ in options])
-                    u_draw = float(rng.random())
-                    pick = int(np.searchsorted(np.cumsum(weights / weights.sum()), u_draw))
-                    pick = min(pick, len(options) - 1)
-                    w, amps_k, rec_k = options[pick]
-                    new_branches.append((prob * w, amps_k, rec_k))
-                else:
-                    new_branches.extend(
-                        (prob * w, amps_k, rec_k) for w, amps_k, rec_k in options
-                    )
-            branches = new_branches
+                    split.append((prob * p1, present / np.sqrt(p1), rec + (1,)))
+            branches = split
         branches = [(prob, u @ amps, rec) for prob, amps, rec in branches]
 
     space = net.space.hilbert
-    if not branches:
-        raise RuntimeError("no surviving branches")  # unreachable for unit input
     if len(branches) == 1 and branches[0][2] == ():
         return PureOutcome(StateVector(space, branches[0][1]))
-    if sampled:
-        prob, amps, rec = branches[0]
-        outcome = rec[0] if len(rec) == 1 else rec
-        return SampledOutcome(outcome, StateVector(space, amps), prob)
+    if rng is not None:
+        weights = np.array([prob for prob, _, _ in branches])
+        pick = int(np.searchsorted(np.cumsum(weights / weights.sum()), float(rng.random())))
+        prob, amps, rec = branches[min(pick, len(branches) - 1)]
+        return SampledOutcome(_outcome_key(rec), StateVector(space, amps), prob)
     wrapped = tuple(
         Branch(prob, rec, StateVector(space, amps)) for prob, amps, rec in branches
     )
@@ -455,18 +410,14 @@ def sample_outcomes(
     """Outcome frequencies of repeated sampled propagation.
 
     The network is compiled once; shots are drawn from the exact branch
-    distribution of the monitored measurements, which is what repeated
-    single-shot runs converge to.
+    ensemble, the one a sampled :func:`propagate` draws a single shot
+    from.
     """
     outcome = propagate(net, input_state, bindings)
     if isinstance(outcome, PureOutcome):
         raise ValueError("network has no monitored device, nothing to sample")
-    keys = []
-    weights = []
-    for b in outcome.branches:
-        keys.append(b.outcomes[0] if len(b.outcomes) == 1 else b.outcomes)
-        weights.append(b.probability)
-    weights = np.array(weights)
+    keys = [_outcome_key(b.outcomes) for b in outcome.branches]
+    weights = np.array([b.probability for b in outcome.branches])
     draws = rng.choice(len(keys), size=int(shots), p=weights / weights.sum())
     counts = {k: 0 for k in keys}
     for i in draws:
@@ -478,9 +429,8 @@ def network_unitary(net: Network, bindings: Mapping[str, Operator]) -> Operator:
     """Composed unitary of all stages (networks without monitors)."""
     if any(isinstance(e, MonitoredDevice) for e in net.stages):
         raise ValueError("network contains a monitored device and is not unitary")
-    _check_bindings(net, bindings)
     total = np.eye(net.space.total_dim, dtype=np.complex128)
-    for u, _ in _compile(net, bindings):
+    for u in _compile(net, bindings):
         total = u @ total
     return Operator(total, tol=1e-8)
 

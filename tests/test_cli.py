@@ -181,6 +181,17 @@ class TestRunCommand:
         assert run_cli("run", "--preset", "ctrl-u", "--out", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--bind", "U=x", "--u", "z"], ["--bind", "U=x", "--bind", "U=z"], ["--bind", "U=x", "--bind", "U=x"]],
+        ids=["bind-and-sugar", "bind-twice", "same-spec-twice"],
+    )
+    def test_slot_bound_twice_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--preset", "ctrl-u", *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: slot 'U' is bound twice\n"
+        assert not out.exists()
+
     def test_fidelity_threshold_controls_exit_code(self, tmp_path):
         # an impossible tolerance forces the failure path
         out = tmp_path / "r.json"
@@ -317,6 +328,21 @@ class TestSchemeFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source,text,field",
+        [
+            ("--scheme", "{}", "space"),
+            ("--sequence", '[{"type": "carrier", "ion": 2}]', "slot"),
+            ("--sequence", '[{"type": "hiding", "ion": 2}]', "which"),
+        ],
+    )
+    def test_missing_field_is_named(self, tmp_path, capsys, source, text, field):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run_cli("run", source, str(path), "--u", "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: JSON object lacks the field {field!r}") and err.count("\n") == 1
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("run", "--scheme", str(tmp_path / "nope.json"), "--u", "i") == 2
