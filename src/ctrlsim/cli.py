@@ -202,13 +202,10 @@ def _run(args, family: str, scheme, scheme_id: str, kind: str | None) -> tuple[d
     alpha, beta = _control_amps(args)
     psi = _parse_psi(args.psi, dim)
 
-    monitored = family == "photonic" and any(
-        isinstance(e, photonic.MonitoredDevice) for e in scheme.stages
-    )
-    if args.sample and not monitored:
-        raise ValueError("--sample needs a network with a monitored device")
     rng = np.random.default_rng(args.seed) if args.sample else None
     outcome = propagate(place_in(np.kron([alpha, beta], psi)), bindings, rng=rng)
+    if rng is not None and isinstance(outcome, photonic.PureOutcome):
+        raise ValueError("--sample needs a network with a monitored device")
 
     target = None
     if kind is not None:
@@ -357,7 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

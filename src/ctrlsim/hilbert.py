@@ -100,7 +100,7 @@ class HilbertSpace:
 class StateVector:
     """Normalized complex amplitude vector over a :class:`HilbertSpace`."""
 
-    def __init__(self, space: HilbertSpace, amps, tol: float = DEFAULT_TOL):
+    def __init__(self, space: HilbertSpace, amps):
         amps = np.array(amps, dtype=np.complex128).reshape(-1)
         if amps.shape != (space.total_dim,):
             raise ValueError(
@@ -108,8 +108,8 @@ class StateVector:
                 f"space has dimension {space.total_dim}"
             )
         norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= tol:  # written to fail on NaN
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {tol}")
+        if not abs(norm - 1.0) <= DEFAULT_TOL:  # written to fail on NaN
+            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {DEFAULT_TOL}")
         amps.setflags(write=False)
         self.space = space
         self.amps = amps
@@ -130,59 +130,48 @@ class StateVector:
 
 
 class Operator:
-    """Square complex matrix with a unitarity claim.
+    """Unitary matrix: the constructor verifies ``U^dag U = 1`` to within
+    ``tol`` and rejects any other square matrix."""
 
-    When ``claims_unitary`` is true the constructor verifies
-    ``U^dag U = 1`` to within ``tol`` and rejects the matrix otherwise.
-    """
-
-    def __init__(self, entries, claims_unitary: bool = True, tol: float = DEFAULT_TOL):
+    def __init__(self, entries, tol: float = DEFAULT_TOL):
         m = _as_complex_matrix(entries)
-        if claims_unitary:
-            dev = _unitary_deviation(m)
-            if not dev <= tol:  # written to fail on NaN
-                raise ValueError(
-                    f"matrix claimed unitary but deviates by {dev:.3e} (tol {tol})"
-                )
+        dev = _unitary_deviation(m)
+        if not dev <= tol:  # written to fail on NaN
+            raise ValueError(f"matrix claimed unitary but deviates by {dev:.3e} (tol {tol})")
         m.setflags(write=False)
         self.entries = m
-        self.claims_unitary = bool(claims_unitary)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.claims_unitary, tol=1e-8)
+        return Operator(self.entries.conj().T, tol=1e-8)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Operator(
-            self.entries @ other.entries,
-            self.claims_unitary and other.claims_unitary,
-            tol=1e-8,
-        )
+        return Operator(self.entries @ other.entries, tol=1e-8)
 
     def __repr__(self) -> str:
-        return f"Operator(dim={self.dim}, claims_unitary={self.claims_unitary})"
+        return f"Operator(dim={self.dim})"
 
 
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over a space."""
 
-    def __init__(self, space: HilbertSpace, entries, tol: float = DEFAULT_TOL):
+    def __init__(self, space: HilbertSpace, entries):
         m = _as_complex_matrix(entries)
         if m.shape[0] != space.total_dim:
             raise ValueError("matrix dimension does not match the space")
         # comparisons written to fail on NaN
-        if not np.max(np.abs(m - m.conj().T)) <= tol:
+        if not np.max(np.abs(m - m.conj().T)) <= DEFAULT_TOL:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= tol:
+        if not abs(tr - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
         lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-        if not lo >= -tol:
+        if not lo >= -DEFAULT_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         m.setflags(write=False)
         self.space = space
@@ -250,13 +239,14 @@ def _json_field(obj, key: str, kind: type, items: type | None = None):
 
 
 def _slot_binding(bindings: Mapping[str, Operator] | None, slot: str, dim: int) -> np.ndarray:
-    """Matrix bound to ``slot``: unbound raises ``KeyError``, a binding
-    that is not a unitary of dimension ``dim`` raises ``ValueError``."""
+    """Matrix bound to ``slot``, the one check every insertion of an
+    unknown operation passes (photonic devices, ion carriers and the
+    search): unbound raises ``KeyError``, a binding of a dimension other
+    than ``dim`` raises ``ValueError``.  The binding is an
+    :class:`Operator`, so it is a unitary."""
     if not bindings or slot not in bindings:
         raise KeyError(f"slot {slot!r} is unbound")
     u = bindings[slot]
-    if not u.claims_unitary:
-        raise ValueError(f"binding for slot {slot!r} is not unitary")
     if u.dim != dim:
         raise ValueError(f"binding for slot {slot!r} has dim {u.dim}, the slot acts on dim {dim}")
     return u.entries
@@ -293,7 +283,7 @@ def subsystem_embed(u: Operator, space: HilbertSpace, slot: str) -> Operator:
     for k, (_, dim) in enumerate(space.factors):
         block = u.entries if k == axis else np.eye(dim)
         full = np.kron(full, block)
-    return Operator(full, u.claims_unitary, tol=1e-8)
+    return Operator(full, tol=1e-8)
 
 
 def _permutation(dest: np.ndarray) -> np.ndarray:
@@ -319,7 +309,7 @@ def subspace_embed(u: Operator, emb: DirectSumBlock) -> Operator:
     full = np.eye(emb.total_dim, dtype=np.complex128)
     idx = np.array(emb.block_indices)
     full[np.ix_(idx, idx)] = u.entries
-    return Operator(full, u.claims_unitary, tol=1e-8)
+    return Operator(full, tol=1e-8)
 
 
 def apply(op: Operator, psi: StateVector) -> StateVector:
@@ -328,8 +318,6 @@ def apply(op: Operator, psi: StateVector) -> StateVector:
         raise ValueError(
             f"operator dim {op.dim} does not match state dim {psi.space.total_dim}"
         )
-    if not op.claims_unitary:
-        raise ValueError("apply requires an operator that claims unitarity")
     return StateVector(psi.space, op.entries @ psi.amps)
 
 

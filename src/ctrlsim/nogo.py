@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ion, photonic
-from .hilbert import Operator, haar_unitary
+from .hilbert import Operator, _slot_binding, haar_unitary
 
 CTRL_U = "ctrl_u"
 SWITCH = "switch"
@@ -194,20 +194,16 @@ def param_count(kind: str, ancilla_dim: int, system_dim: int) -> int:
     return _n_slots(kind) * (ancilla_dim * 2 * system_dim) ** 2
 
 
-def _oracle_entries(kind: str, bindings) -> tuple[np.ndarray, ...]:
-    """Matrices of the inserted slots, in circuit order."""
-    return tuple(bindings[s].entries for s in TASKS[kind][0])
+def _oracle_entries(kind: str, bindings, dim: int) -> tuple[np.ndarray, ...]:
+    """Matrices of the inserted slots, in circuit order, each through the
+    schemes' binding check for a system of dimension ``dim``."""
+    return tuple(_slot_binding(bindings, s, dim) for s in TASKS[kind][0])
 
 
 def _circuit_unitary(pc: ParamCircuit, bindings) -> np.ndarray:
     """Total unitary on (a, c, s) with each bound slot inserted as
     1_ac x U."""
-    entries = _oracle_entries(pc.kind, bindings)
-    for u in entries:
-        if u.shape != (pc.system_dim, pc.system_dim):
-            raise ValueError(
-                f"binding dimension {u.shape[0]} does not match system dim {pc.system_dim}"
-            )
+    entries = _oracle_entries(pc.kind, bindings, pc.system_dim)
     eye_ac = np.eye(pc.ancilla_dim * 2)
     slots = pc.slot_matrices
     total = slots[-1]
@@ -238,9 +234,10 @@ def realized_channel(pc: ParamCircuit, bindings) -> np.ndarray:
     return _choi_from_kraus(kraus, cs)
 
 
-def choi_of_unitary(u: Operator) -> np.ndarray:
-    """Choi matrix of a unitary channel (rank one)."""
-    v = u.entries.reshape(-1)
+def choi_of_unitary(u: np.ndarray) -> np.ndarray:
+    """Rank-one Choi matrix ``|u>><<u|`` of a matrix; for a unitary, the
+    Choi matrix of its channel."""
+    v = np.reshape(u, -1)
     return np.outer(v, v.conj())
 
 
@@ -295,21 +292,21 @@ def worst_case_fidelity(pc: ParamCircuit, samples) -> float:
     controlled target, over the sample set."""
     if not samples:
         raise ValueError("sample set must be non-empty")
-    targets = [target_unitary(pc.kind, s) for s in samples]
     return min(
-        process_fidelity(realized_channel(pc, s), t) for s, t in zip(samples, targets)
+        process_fidelity(realized_channel(pc, s), target_unitary(pc.kind, s)) for s in samples
     )
 
 
-def _prepare_samples(kind: str, samples):
-    """Hoist the sample-dependent matrices out of the search loop.
+def _prepare_samples(kind: str, dim: int, samples):
+    """Hoist the sample-dependent matrices out of the search loop; every
+    binding passes the slot check here, once per search.
 
     Returns the bound slots stacked as ``(S, n_insertions, d, d)`` in
     insertion order and the conjugated targets ``(S, cs, cs)``.
     """
     if not samples:
         raise ValueError("sample set must be non-empty")
-    oracles = np.stack([np.stack(_oracle_entries(kind, s)) for s in samples])
+    oracles = np.stack([np.stack(_oracle_entries(kind, s, dim)) for s in samples])
     targets = np.stack([target_unitary(kind, s).entries.conj() for s in samples])
     return oracles, targets
 
@@ -441,7 +438,7 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
         sample_rng = np.random.default_rng(config.seed)
         samples = draw_samples(kind, d, config.sample_count, sample_rng)
     n = param_count(kind, a, d)
-    prepared = _prepare_samples(kind, samples)
+    prepared = _prepare_samples(kind, d, samples)
 
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
         softmin, grad, _ = _objective(kind, a, d, x, prepared)
@@ -517,8 +514,8 @@ def _logical_block(scheme, bindings) -> np.ndarray:
 def _scheme_fidelity(kind: str, scheme, bindings) -> float:
     """Process fidelity of a scheme's logical block against
     :func:`target_unitary`, with its slots bound to ``bindings``."""
-    block = Operator(_logical_block(scheme, bindings), claims_unitary=False)
-    return process_fidelity(choi_of_unitary(block), target_unitary(kind, bindings))
+    choi = choi_of_unitary(_logical_block(scheme, bindings))
+    return process_fidelity(choi, target_unitary(kind, bindings))
 
 
 def oracle_sanity(sample_count: int = 32, internal_dim: int = 2, seed: int = 1234) -> float:

@@ -538,8 +538,6 @@ def two_photon_product(device: Device, u: Operator, upper_path: str = "u") -> Op
         raise TypeError("expected a Device network fragment")
     if device.path == upper_path:
         raise ValueError("the two photons must occupy different paths")
-    if not u.claims_unitary:
-        raise ValueError("device binding must be unitary")
     space = PhotonicSpace((upper_path, device.path), u.dim)
     full = element_unitary(device, space, {device.slot: u}).entries
 

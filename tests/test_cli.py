@@ -308,6 +308,8 @@ class TestSchemeFiles:
             pytest.param("--sequence", "5", id="sequence-number"),
             pytest.param("--sequence", '[{"type": "carrier", "ion": 2, "slot": ["U"]}]', id="sequence-slot-array"),
             pytest.param("--sequence", '[{"type": "sideband_swap", "ion": null}]', id="sequence-ion-null"),
+            pytest.param("--scheme", "[" * 100000 + "]" * 100000, id="scheme-deeply-nested"),
+            pytest.param("--sequence", "[" * 100000 + "]" * 100000, id="sequence-deeply-nested"),
         ],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, source, text):

@@ -106,12 +106,6 @@ class TestPulseUnitaries:
             pulse_unitary(Carrier(2, "U"), space, {})
         with pytest.raises(ValueError):
             pulse_unitary(Carrier(2, "U"), space, {"U": Operator(np.eye(3))})
-        with pytest.raises(ValueError):
-            pulse_unitary(
-                Carrier(2, "U"),
-                space,
-                {"U": Operator(np.diag([1.0, 0.5]), claims_unitary=False)},
-            )
 
     def test_sigma_x_swaps_in_ground_block_only(self, space):
         sg = pulse_unitary(SigmaX(2, "Sg"), space).entries

@@ -110,7 +110,7 @@ class TestRealizedChannel:
         u = haar_unitary(2, rng)
         pc = ParamCircuit(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)))
         choi = realized_channel(pc, {"U": u})
-        want = choi_of_unitary(Operator(np.kron(np.eye(2), u.entries)))
+        want = choi_of_unitary(np.kron(np.eye(2), u.entries))
         assert np.max(np.abs(choi - want)) < 1e-12
 
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
@@ -184,13 +184,13 @@ class TestProcessFidelity:
     def test_unitary_channel_self_fidelity(self):
         rng = np.random.default_rng(7)
         u = haar_unitary(4, rng)
-        assert abs(process_fidelity(choi_of_unitary(u), u) - 1) < 1e-12
+        assert abs(process_fidelity(choi_of_unitary(u.entries), u) - 1) < 1e-12
 
     def test_wire_insertion_vs_ctrl_x_quarter(self):
         # |Tr((ctrl-X)^dag (1 (x) X))|^2 / 16 = 0.25
         wire = Operator(np.kron(np.eye(2), X))
         target = target_unitary(CTRL_U, {"U": Operator(X)})
-        assert abs(process_fidelity(choi_of_unitary(wire), target) - 0.25) < 1e-12
+        assert abs(process_fidelity(choi_of_unitary(wire.entries), target) - 0.25) < 1e-12
 
 
 class TestWorstCaseFidelity:
@@ -211,7 +211,7 @@ class TestWorstCaseFidelity:
             block = np.eye(4, dtype=complex)
             block[2:, 2:] = u.entries
             f = process_fidelity(
-                choi_of_unitary(Operator(block)), target_unitary(CTRL_U, {"U": u})
+                choi_of_unitary(block), target_unitary(CTRL_U, {"U": u})
             )
             assert f >= 1 - 1e-12
 
@@ -234,7 +234,7 @@ class TestWorstCaseFidelity:
             samples = draw_samples(kind, d, 5, rng)
             x = rng.normal(size=param_count(kind, a, d))
             ref = worst_case_fidelity(ParamCircuit(kind, a, d, x), samples)
-            _, _, fid = _objective(kind, a, d, x, _prepare_samples(kind, samples))
+            _, _, fid = _objective(kind, a, d, x, _prepare_samples(kind, d, samples))
             assert abs(ref - fid.min()) < 1e-14
 
 
@@ -247,7 +247,7 @@ def params_from_hermitian(h):
 def random_problem(kind, a, d, count, seed):
     rng = np.random.default_rng(seed)
     samples = draw_samples(kind, d, count, rng)
-    return rng, samples, _prepare_samples(kind, samples)
+    return rng, samples, _prepare_samples(kind, d, samples)
 
 
 class TestBatchedKernel:
@@ -284,7 +284,7 @@ class TestBatchedKernel:
         x = rng.normal(size=param_count(kind, a, d))
         softmin, grad, fid = _objective(kind, a, d, x, prepared)
         assert fid.shape == (5,)
-        single = [_objective(kind, a, d, x, _prepare_samples(kind, (s,))) for s in samples]
+        single = [_objective(kind, a, d, x, _prepare_samples(kind, d, (s,))) for s in samples]
         assert np.allclose([f[0] for _, _, f in single], fid, rtol=0, atol=1e-14)
         assert np.allclose([v for v, _, _ in single], fid, rtol=0, atol=1e-14)
         weights = np.exp(-nogo._SOFTMIN_BETA * (fid - fid.min()))
@@ -360,7 +360,7 @@ class TestOptimize:
         rng = np.random.default_rng(11)
         a, d, eps = 1, 2, 1e-6
         for kind in (CTRL_U, SWITCH):
-            prepared = _prepare_samples(kind, draw_samples(kind, d, 4, rng))
+            prepared = _prepare_samples(kind, d, draw_samples(kind, d, 4, rng))
             n = param_count(kind, a, d)
 
             def f(x):

@@ -116,12 +116,6 @@ class TestElements:
             element_unitary(Device("l", "U"), space, {})
         with pytest.raises(ValueError):
             element_unitary(Device("l", "U"), space, {"U": Operator(np.eye(3))})
-        with pytest.raises(ValueError):
-            element_unitary(
-                Device("l", "U"),
-                space,
-                {"U": Operator(np.diag([1.0, 0.5]), claims_unitary=False)},
-            )
 
     def test_reroute_permutes_paths(self):
         space = PhotonicSpace(("f", "g"), 2)

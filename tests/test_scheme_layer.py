@@ -1,23 +1,27 @@
 """The layer photonic networks and ion pulse sequences share: one
-slot-binding check, one sampler over the exact branch ensemble, and
-pulse files read field by field."""
+slot-binding check, which the search passes through too, one sampler
+over the exact branch ensemble, and pulse files read field by field."""
 
 import numpy as np
 import pytest
 
-from ctrlsim import ion, photonic
-from ctrlsim.hilbert import Operator, haar_unitary
+from ctrlsim import ion, nogo, photonic
+from ctrlsim.hilbert import haar_unitary
 
 PHOTONIC = photonic.PhotonicSpace(("u", "l"), 2)
 TRAP = ion.TrapSpace(3)
+
+SEARCH = nogo.ParamCircuit(nogo.CTRL_U, 1, 2, np.zeros(nogo.param_count(nogo.CTRL_U, 1, 2)))
 
 # (stage carrying slot "U" of dimension 2, how to compile it)
 STAGES = [
     (photonic.Device("l", "U"), lambda e, b: photonic.element_unitary(e, PHOTONIC, b)),
     (photonic.MonitoredDevice("l", "U"), lambda e, b: photonic.element_unitary(e, PHOTONIC, b)),
     (ion.Carrier(2, "U"), lambda e, b: ion.pulse_unitary(e, TRAP, b)),
+    (SEARCH, nogo.realized_channel),
+    (nogo.CTRL_U, lambda kind, b: nogo._prepare_samples(kind, 2, (b,))),
 ]
-IDS = ["device", "monitored-device", "carrier"]
+IDS = ["device", "monitored-device", "carrier", "search-circuit", "search-samples"]
 
 
 @pytest.mark.parametrize("stage,compile_", STAGES, ids=IDS)
@@ -26,13 +30,6 @@ def test_unbound_slot_raises_key_error(stage, compile_):
         compile_(stage, {"V": haar_unitary(2, np.random.default_rng(0))})
     with pytest.raises(KeyError, match="slot 'U' is unbound"):
         compile_(stage, None)
-
-
-@pytest.mark.parametrize("stage,compile_", STAGES, ids=IDS)
-def test_non_unitary_binding_raises_value_error(stage, compile_):
-    bad = Operator(np.diag([1.0, 2.0]), claims_unitary=False)
-    with pytest.raises(ValueError, match="binding for slot 'U' is not unitary"):
-        compile_(stage, {"U": bad})
 
 
 @pytest.mark.parametrize("stage,compile_", STAGES, ids=IDS)
