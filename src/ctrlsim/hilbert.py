@@ -13,8 +13,11 @@ Conventions used by every module in this package:
   supplied by the caller.  Nothing in this package touches numpy's
   global random state.
 * Photonic networks and ion pulse sequences share one scheme layer,
-  kept here: ``_slot_binding``, ``_compile_once``, ``_slot_counts`` and
-  the JSON reader ``_json_field``.
+  kept here: ``_slot_binding``, ``_compile_once``, ``_apply_stage``,
+  ``_slot_counts`` and the JSON reader ``_json_field``.  A fixed stage
+  (every one without a slot) is a basis permutation and compiles to an
+  index gather, checked by ``_gather``; a slot stage compiles to its
+  dense matrix, which ``Operator`` validates.
 """
 
 from __future__ import annotations
@@ -258,12 +261,33 @@ def _slot_counts(stages) -> dict[str, int]:
     return dict(Counter(stage.slot for stage in stages if hasattr(stage, "slot")))
 
 
-def _compile_once(stages, build) -> list[np.ndarray]:
-    """``build(stage)`` for every stage position: each distinct stage is
-    built once, in order of first appearance, and its matrix reused at
-    every position it occupies."""
+def _compile_once(stages, dest, dense) -> list[np.ndarray]:
+    """Compiled form of every stage position, for :func:`_apply_stage`:
+    ``dense(stage)`` for a stage with a ``slot`` field, the gather of
+    ``dest(stage)`` for any other.  Each distinct stage is built once, in
+    order of first appearance, and reused at every position it occupies."""
+    def build(stage):
+        return dense(stage) if hasattr(stage, "slot") else _gather(dest(stage))
+
     built = {stage: build(stage) for stage in dict.fromkeys(stages)}
     return [built[stage] for stage in stages]
+
+
+def _gather(dest) -> np.ndarray:
+    """Read-only source indices ``src`` with ``s[src] == _permutation(dest) @ s``
+    for every state ``s``; ``dest`` that is not a permutation of
+    ``range(n)`` raises ``ValueError``."""
+    dest = np.asarray(dest)
+    src = np.argsort(dest) if dest.ndim == 1 and dest.dtype.kind in "iu" else None
+    if src is None or not np.array_equal(dest[src], np.arange(dest.size)):
+        raise ValueError(f"stage map is not a permutation of range({dest.size}): {dest}")
+    src.setflags(write=False)
+    return src
+
+
+def _apply_stage(stage: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """A compiled stage acting on a state, or on the rows of a matrix."""
+    return s[stage] if stage.ndim == 1 else stage @ s
 
 
 def _require_same_space(a: HilbertSpace, b: HilbertSpace) -> None:

@@ -35,6 +35,7 @@ from .hilbert import (
     HilbertSpace,
     Operator,
     StateVector,
+    _apply_stage,
     _compile_once,
     _json_field,
     _permutation,
@@ -149,6 +150,19 @@ def _levels(space: TrapSpace, ion: int) -> np.ndarray:
     return idx if ion == 1 else idx.swapaxes(0, 1)
 
 
+def _pulse_dest(p: Pulse, space: TrapSpace) -> np.ndarray:
+    """Basis map of a fixed pulse: basis state ``j`` moves to ``dest[j]``."""
+    exchange = _EXCHANGES.get((type(p), getattr(p, "which", None)))
+    if exchange is None:
+        raise TypeError(f"unknown pulse type: {p!r}")
+    idx = _levels(space, p.ion)
+    (la, na), (lb, nb) = exchange
+    a, b = idx[la, :, na], idx[lb, :, nb]
+    dest = np.arange(space.total_dim)
+    dest[a], dest[b] = b, a
+    return dest
+
+
 def pulse_unitary(
     p: Pulse, space: TrapSpace, bindings: Mapping[str, Operator] | None = None
 ) -> Operator:
@@ -160,15 +174,7 @@ def pulse_unitary(
         full = np.eye(space.total_dim, dtype=np.complex128)
         full[pairs[:, :, None], pairs[:, None, :]] = u
         return Operator(full)
-    exchange = _EXCHANGES.get((type(p), getattr(p, "which", None)))
-    if exchange is None:
-        raise TypeError(f"unknown pulse type: {p!r}")
-    idx = _levels(space, p.ion)
-    (la, na), (lb, nb) = exchange
-    a, b = idx[la, :, na], idx[lb, :, nb]
-    dest = np.arange(space.total_dim)
-    dest[a], dest[b] = b, a
-    return Operator(_permutation(dest))
+    return Operator(_permutation(_pulse_dest(p, space)))
 
 
 @dataclass(frozen=True)
@@ -225,14 +231,19 @@ def run_sequence(
     if space is None:
         n = init.space.dim_of("mode")
         space = TrapSpace(fock_cutoff=n)
-    if init.space.factors != space.hilbert.factors:
+    hspace = space.hilbert
+    if init.space.factors != hspace.factors:
         raise ValueError("initial state does not live on the trap space")
-    mats = _compile_once(seq.pulses, lambda p: pulse_unitary(p, space, bindings).entries)
-    state = np.array(init.amps)
+    stages = _compile_once(
+        seq.pulses,
+        lambda p: _pulse_dest(p, space),
+        lambda p: pulse_unitary(p, space, bindings).entries,
+    )
+    state = init.amps
     trace: list[StateVector] = []
-    for u in mats:
-        state = u @ state
-        trace.append(StateVector(space.hilbert, state))
+    for stage in stages:
+        state = _apply_stage(stage, state)
+        trace.append(StateVector(hspace, state))
     final = trace[-1] if trace else init
     return final, trace
 

@@ -34,6 +34,7 @@ from .hilbert import (
     HilbertSpace,
     Operator,
     StateVector,
+    _apply_stage,
     _compile_once,
     _json_field,
     _permutation,
@@ -265,14 +266,14 @@ class Network:
 
 
 def _pair_permutation(space: PhotonicSpace, moves: dict[tuple[str, int], tuple[str, int]]) -> np.ndarray:
-    """Full-sector matrix of a permutation on (path, pol) pairs; pairs
-    not in ``moves`` stay put."""
+    """Basis map ``dest`` of a permutation on (path, pol) pairs: basis
+    state ``j`` moves to ``dest[j]``; pairs not in ``moves`` stay put."""
     block = {p: 2 * k for k, p in enumerate(space.paths)}  # row of (p, H); (p, V) is next
     dest = np.arange(space.total_dim).reshape(-1, space.internal_dim)
     home = dest.copy()
     for (p, pol), (q, qol) in moves.items():
         dest[block[p] + pol] = home[block[q] + qol]
-    return _permutation(dest.reshape(-1))
+    return dest.reshape(-1)
 
 
 def _pbs_moves(e: PBS) -> dict[tuple[str, int], tuple[str, int]]:
@@ -288,27 +289,28 @@ def _pbs_moves(e: PBS) -> dict[tuple[str, int], tuple[str, int]]:
     return moves
 
 
+def _element_dest(e: Element, space: PhotonicSpace) -> np.ndarray:
+    """Basis map of a fixed element (PBS, HWP or reroute)."""
+    if isinstance(e, PBS):
+        return _pair_permutation(space, _pbs_moves(e))
+    if isinstance(e, HWP):
+        return _pair_permutation(space, {(e.path, H): (e.path, V), (e.path, V): (e.path, H)})
+    if isinstance(e, Reroute):
+        moves = {(src, pol): (dst, pol) for src, dst in e.mapping for pol in (H, V)}
+        return _pair_permutation(space, moves)
+    raise TypeError(f"unknown element type: {e!r}")
+
+
 def element_unitary(
     e: Element, space: PhotonicSpace, bindings: Mapping[str, Operator] | None = None
 ) -> Operator:
     """Full single-photon-sector unitary of one element."""
-    if isinstance(e, PBS):
-        return Operator(_pair_permutation(space, _pbs_moves(e)))
-    if isinstance(e, HWP):
-        moves = {(e.path, H): (e.path, V), (e.path, V): (e.path, H)}
-        return Operator(_pair_permutation(space, moves))
-    if isinstance(e, Reroute):
-        perm = e.as_dict()
-        moves = {
-            (src, pol): (dst, pol) for src, dst in perm.items() for pol in (H, V)
-        }
-        return Operator(_pair_permutation(space, moves))
     if isinstance(e, (Device, MonitoredDevice)):
         u = _slot_binding(bindings, e.slot, space.internal_dim)
         sl = space.path_slice(e.path)
         block = DirectSumBlock(range(sl.start, sl.stop), space.total_dim)
         return subspace_embed(Operator(np.kron(np.eye(2), u)), block)
-    raise TypeError(f"unknown element type: {e!r}")
+    return Operator(_permutation(_element_dest(e, space)))
 
 
 @dataclass(frozen=True)
@@ -342,7 +344,11 @@ _BRANCH_CUTOFF = 1e-14
 
 
 def _compile(net: Network, bindings: Mapping[str, Operator]) -> list[np.ndarray]:
-    return _compile_once(net.stages, lambda e: element_unitary(e, net.space, bindings).entries)
+    return _compile_once(
+        net.stages,
+        lambda e: _element_dest(e, net.space),
+        lambda e: element_unitary(e, net.space, bindings).entries,
+    )
 
 
 def _outcome_key(record: tuple[int, ...]) -> int | tuple[int, ...]:
@@ -383,7 +389,7 @@ def propagate(
                 if p1 > _BRANCH_CUTOFF:
                     split.append((prob * p1, present / np.sqrt(p1), rec + (1,)))
             branches = split
-        branches = [(prob, u @ amps, rec) for prob, amps, rec in branches]
+        branches = [(prob, _apply_stage(u, amps), rec) for prob, amps, rec in branches]
 
     space = net.space.hilbert
     if len(branches) == 1 and branches[0][2] == ():
@@ -431,7 +437,7 @@ def network_unitary(net: Network, bindings: Mapping[str, Operator]) -> Operator:
         raise ValueError("network contains a monitored device and is not unitary")
     total = np.eye(net.space.total_dim, dtype=np.complex128)
     for u in _compile(net, bindings):
-        total = u @ total
+        total = _apply_stage(u, total)
     return Operator(total, tol=1e-8)
 
 
