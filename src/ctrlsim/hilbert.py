@@ -15,9 +15,7 @@ Conventions used by every module in this package:
 * Photonic networks and ion pulse sequences share one scheme layer,
   kept here: ``_slot_binding``, ``_compile_once``, ``_apply_stage``,
   ``_slot_counts`` and the JSON reader ``_json_field``.  A fixed stage
-  (every one without a slot) is a basis permutation and compiles to an
-  index gather, checked by ``_gather``; a slot stage compiles to its
-  dense matrix, which ``Operator`` validates.
+  compiles to an index gather, a slot stage to its dense unitary.
 """
 
 from __future__ import annotations
@@ -261,16 +259,17 @@ def _slot_counts(stages) -> dict[str, int]:
     return dict(Counter(stage.slot for stage in stages if hasattr(stage, "slot")))
 
 
-def _compile_once(stages, dest, dense) -> list[np.ndarray]:
+def _compile_once(stages, dest, unitary) -> list[np.ndarray]:
     """Compiled form of every stage position, for :func:`_apply_stage`:
-    ``dense(stage)`` for a stage with a ``slot`` field, the gather of
-    ``dest(stage)`` for any other.  Each distinct stage is built once, in
-    order of first appearance, and reused at every position it occupies."""
-    def build(stage):
-        return dense(stage) if hasattr(stage, "slot") else _gather(dest(stage))
-
-    built = {stage: build(stage) for stage in dict.fromkeys(stages)}
-    return [built[stage] for stage in stages]
+    the matrix of ``unitary(stage)`` for a stage with a ``slot`` field,
+    the gather of ``dest(stage)`` for any other.  Each distinct stage is
+    built once, in order of first appearance, and reused at every
+    position it occupies."""
+    built = {
+        s: unitary(s).entries if hasattr(s, "slot") else _gather(dest(s))
+        for s in dict.fromkeys(stages)
+    }
+    return [built[s] for s in stages]
 
 
 def _gather(dest) -> np.ndarray:
@@ -286,8 +285,10 @@ def _gather(dest) -> np.ndarray:
 
 
 def _apply_stage(stage: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """A compiled stage acting on a state, or on the rows of a matrix."""
-    return s[stage] if stage.ndim == 1 else stage @ s
+    """A compiled stage acting on a state, or on the rows of a matrix.  A
+    gather adds ``0.0`` so that a ``-0.0`` part becomes ``+0.0``, as in
+    the dense product: the result is the same to the bit."""
+    return s[stage] + 0.0 if stage.ndim == 1 else stage @ s
 
 
 def _require_same_space(a: HilbertSpace, b: HilbertSpace) -> None:

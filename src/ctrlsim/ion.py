@@ -221,6 +221,12 @@ class PulseSequence:
         return cls.from_json_list(json.loads(text))
 
 
+def _compile(seq: PulseSequence, space: TrapSpace, bindings) -> list[np.ndarray]:
+    return _compile_once(
+        seq.pulses, lambda p: _pulse_dest(p, space), lambda p: pulse_unitary(p, space, bindings)
+    )
+
+
 def run_sequence(
     seq: PulseSequence,
     init: StateVector,
@@ -234,14 +240,9 @@ def run_sequence(
     hspace = space.hilbert
     if init.space.factors != hspace.factors:
         raise ValueError("initial state does not live on the trap space")
-    stages = _compile_once(
-        seq.pulses,
-        lambda p: _pulse_dest(p, space),
-        lambda p: pulse_unitary(p, space, bindings).entries,
-    )
     state = init.amps
     trace: list[StateVector] = []
-    for stage in stages:
+    for stage in _compile(seq, space, bindings):
         state = _apply_stage(stage, state)
         trace.append(StateVector(hspace, state))
     final = trace[-1] if trace else init

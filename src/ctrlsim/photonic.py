@@ -344,10 +344,9 @@ _BRANCH_CUTOFF = 1e-14
 
 
 def _compile(net: Network, bindings: Mapping[str, Operator]) -> list[np.ndarray]:
+    space = net.space
     return _compile_once(
-        net.stages,
-        lambda e: _element_dest(e, net.space),
-        lambda e: element_unitary(e, net.space, bindings).entries,
+        net.stages, lambda e: _element_dest(e, space), lambda e: element_unitary(e, space, bindings)
     )
 
 

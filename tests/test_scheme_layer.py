@@ -1,12 +1,13 @@
 """The layer photonic networks and ion pulse sequences share: one
-slot-binding check, which the search passes through too, one sampler
-over the exact branch ensemble, and pulse files read field by field."""
+slot-binding check, which the search passes through too, compiled stages
+that act exactly as the dense stage matrices, one sampler over the exact
+branch ensemble, and pulse files read field by field."""
 
 import numpy as np
 import pytest
 
 from ctrlsim import ion, nogo, photonic
-from ctrlsim.hilbert import haar_unitary
+from ctrlsim.hilbert import _apply_stage, _gather, haar_unitary, random_unit_vector
 
 PHOTONIC = photonic.PhotonicSpace(("u", "l"), 2)
 TRAP = ion.TrapSpace(3)
@@ -71,3 +72,75 @@ def test_pulse_field_types_are_checked():
     with pytest.raises(ValueError, match="lacks the field 'slot'"):
         ion.PulseSequence.from_json('[{"type": "carrier", "ion": 2}]')
 
+
+
+def _cycle(d):
+    """Fixed stages that are not their own inverse: a three-path cycle."""
+    space = photonic.PhotonicSpace(("a", "b", "c"), d)
+    turn = photonic.Reroute({"a": "b", "b": "c", "c": "a"})
+    stages = (turn, photonic.HWP("b"), photonic.Device("c", "U"), turn)
+    return photonic.Network(space, stages, "a", "c")
+
+
+def _photonic_cases():
+    presets = (photonic.preset_ctrl_u, photonic.preset_ctrl_u_monitored, photonic.preset_ctrl_switch, _cycle)
+    for build in presets:
+        for d in (1, 2, 3, 16):
+            net = build(d)
+            rng = np.random.default_rng(d)
+            bindings = {slot: haar_unitary(d, rng) for slot in net.slots}
+            compiled = photonic._compile(net, bindings)
+            dense = [photonic.element_unitary(e, net.space, bindings).entries for e in net.stages]
+            yield f"{build.__name__} dim {d}", net.stages, compiled, dense
+
+
+def _ion_cases():
+    for seq in (ion.seq_ctrl_u(), ion.seq_ctrl_switch()):
+        for fock in (2, 3, 10):
+            space = ion.TrapSpace(fock)
+            rng = np.random.default_rng(fock)
+            bindings = {slot: haar_unitary(2, rng) for slot in seq.slots}
+            compiled = ion._compile(seq, space, bindings)
+            dense = [ion.pulse_unitary(p, space, bindings).entries for p in seq.pulses]
+            yield f"{len(seq.pulses)} pulses fock {fock}", seq.pulses, compiled, dense
+
+
+def test_compiled_stages_act_exactly_as_their_dense_matrices():
+    rng = np.random.default_rng(11)
+    for label, stages, compiled, dense in [*_photonic_cases(), *_ion_cases()]:
+        for stage, action, matrix in zip(stages, compiled, dense, strict=True):
+            # fixed stages gather, slot stages keep their matrix
+            assert action.ndim == (2 if hasattr(stage, "slot") else 1), (label, stage)
+            for _ in range(3):
+                s = random_unit_vector(matrix.shape[0], rng)
+                assert np.array_equal(_apply_stage(action, s), matrix @ s), (label, stage)
+            # to the bit, signed zeros included: a report prints a zero's sign
+            s[::2] = np.resize([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)], s[::2].size)
+            assert _apply_stage(action, s).tobytes() == (matrix @ s).tobytes(), (label, stage)
+
+
+@pytest.mark.parametrize("build", [photonic.preset_ctrl_u, photonic.preset_ctrl_switch, _cycle])
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_network_unitary_is_the_dense_product(build, d):
+    net = build(d)
+    rng = np.random.default_rng(d)
+    bindings = {slot: haar_unitary(d, rng) for slot in net.slots}
+    total = np.eye(net.space.total_dim, dtype=np.complex128)
+    for e in net.stages:
+        total = photonic.element_unitary(e, net.space, bindings).entries @ total
+    assert np.array_equal(photonic.network_unitary(net, bindings).entries, total)
+
+
+@pytest.mark.parametrize(
+    "dest", [[0, 0, 2], [0, 1, 3], [-1, 0, 1], [0.0, 1.0, 2.0], [[0, 1], [1, 0]]],
+    ids=["duplicate", "out-of-range", "negative", "float", "two-dim"],
+)
+def test_gather_rejects_a_map_that_is_not_a_permutation(dest):
+    with pytest.raises(ValueError, match="not a permutation"):
+        _gather(np.array(dest))
+
+
+def test_gather_is_read_only_and_inverts_the_map():
+    src = _gather(np.array([2, 0, 1]))
+    assert src.tolist() == [1, 2, 0]
+    assert not src.flags.writeable

@@ -111,8 +111,20 @@ def cli_calls(tmp: str) -> list[tuple[str, list[str]]]:
         "input_path": "u",
         "output_path": "u",
     }
+    # no slot stage: the amplitudes pass through permutations only
+    fixed = {
+        "space": {"paths": ["u", "l"], "internal_dim": 2},
+        "stages": [
+            {"type": "pbs", "ports": {"in": ["u", "l"], "out": ["u", "l"]}},
+            {"type": "hwp", "path": "u"},
+        ],
+        "input_path": "u",
+        "output_path": "u",
+    }
     files = {
         "twice.json": twice,
+        "fixed.json": fixed,
+        "fixed-seq.json": [{"type": "sideband_swap", "ion": 1}, {"type": "hiding", "ion": 2, "which": "H1"}],
         "empty.json": {},
         "no-slot.json": [{"type": "carrier", "ion": 2}],
         "no-which.json": [{"type": "hiding", "ion": 2}],
@@ -128,6 +140,10 @@ def cli_calls(tmp: str) -> list[tuple[str, list[str]]]:
     for seed in range(4):
         add(f"sample twice seed {seed}", "run", "--scheme", twice_path, "--u", "h", "--sample",
             "--seed", str(seed))
+    # a negative alpha times a zero of psi is -0.0, and a report prints a zero's sign
+    for source, name, psi in (("--scheme", "fixed.json", "0,0,1,0"), ("--sequence", "fixed-seq.json", "1,0,0,0")):
+        add(f"run {name} negative alpha", "run", source, os.path.join(tmp, name), "--alpha", "-0.6",
+            "--beta", "0.8", "--psi", psi)
 
     for k, (kind, dim, ancilla, seed) in enumerate(
         [("ctrl-u", 2, 1, 0), ("ctrl-u", 2, 2, 7), ("switch", 2, 1, 3), ("switch", 3, 1, 1)]
