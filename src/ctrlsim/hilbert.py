@@ -260,11 +260,10 @@ def _slot_counts(stages) -> dict[str, int]:
 
 
 def _compile_once(stages, dest, unitary) -> list[np.ndarray]:
-    """Compiled form of every stage position, for :func:`_apply_stage`:
-    the matrix of ``unitary(stage)`` for a stage with a ``slot`` field,
-    the gather of ``dest(stage)`` for any other.  Each distinct stage is
-    built once, in order of first appearance, and reused at every
-    position it occupies."""
+    """Compiled form of every stage position, for :func:`_apply_stage`: the
+    matrix of ``unitary(stage)`` for a stage with a ``slot`` field, the gather
+    of ``dest(stage)`` for any other.  Each distinct stage is built once, in
+    order of first appearance, and reused at every position it occupies."""
     built = {
         s: unitary(s).entries if hasattr(s, "slot") else _gather(dest(s))
         for s in dict.fromkeys(stages)
@@ -285,9 +284,8 @@ def _gather(dest) -> np.ndarray:
 
 
 def _apply_stage(stage: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """A compiled stage acting on a state, or on the rows of a matrix.  A
-    gather adds ``0.0`` so that a ``-0.0`` part becomes ``+0.0``, as in
-    the dense product: the result is the same to the bit."""
+    """A compiled stage acting on a state or on the rows of a matrix; a gather
+    adds ``0.0`` to read ``-0.0`` as ``+0.0``, bit for bit the dense product."""
     return s[stage] + 0.0 if stage.ndim == 1 else stage @ s
 
 

@@ -105,15 +105,14 @@ def main() -> int:
         spec = json.load(fh)["end_to_end"]
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    machine = None
+    machines: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         commit = export(args.against, tmp)
         trees = {"parent": tmp, "change": ROOT}
         for k in range(args.pairs):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                metrics, seen = run_once(trees[side], args.workload, args.seed, args.seconds)
+                metrics, machines[side] = run_once(trees[side], args.workload, args.seed, args.seconds)
                 runs[side].append(metrics)
-                machine = seen if side == "change" else machine
                 print(f"# pair {k + 1}/{args.pairs} {side} ops_per_s {metrics['ops_per_s']:.6g}",
                       flush=True)
 
@@ -131,7 +130,7 @@ def main() -> int:
             record = json.load(fh)
     record.setdefault("workloads", {})[args.workload] = {
         "against": commit, "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
-        "machine": machine, "summary": summary, "runs": runs,
+        "machine": machines["change"], "summary": summary, "runs": runs,
     }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
