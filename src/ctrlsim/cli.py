@@ -17,12 +17,14 @@ Reports never contain wall-clock data, and all randomness flows from
 the ``--seed`` flag plus gate-spec seeds, so identical invocations
 produce byte-identical reports.  Files are written via a temporary
 name and an atomic rename, so a failed run never leaves a partial
-report behind.
+report behind.  The argument parser is built once per process, on the
+first call of :func:`main`, and reused: parsing keeps no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -301,6 +303,7 @@ def _cmd_emit_scheme(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctrlsim",

@@ -13,13 +13,17 @@ Conventions used by every module in this package:
   supplied by the caller.  Nothing in this package touches numpy's
   global random state.
 * Photonic networks and ion pulse sequences share one scheme layer,
-  kept here: ``_slot_binding``, ``_compile_once``, ``_apply_stage``,
-  ``_slot_counts`` and the JSON reader ``_json_field``.  A fixed stage
-  compiles to an index gather, a slot stage to its dense unitary.
+  kept here: ``_slot_binding``, ``_compile_once``, ``_fixed_stage``,
+  ``_apply_stage``, ``_slot_counts`` and the JSON reader ``_json_field``.
+  A fixed stage compiles to an index gather, built once per process for
+  each (stage, space) by ``_fixed_stage``; a slot stage compiles to its
+  dense unitary on every call.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -75,7 +79,7 @@ class HilbertSpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def axis(self, label: str) -> int:
         """Position of the factor named ``label``."""
@@ -244,10 +248,13 @@ def _slot_binding(bindings: Mapping[str, Operator] | None, slot: str, dim: int) 
     unknown operation passes (photonic devices, ion carriers and the
     search): unbound raises ``KeyError``, a binding of a dimension other
     than ``dim`` raises ``ValueError``.  The binding is an
-    :class:`Operator`, so it is a unitary."""
+    :class:`Operator`, so it is a unitary; any other binding raises
+    ``TypeError``."""
     if not bindings or slot not in bindings:
         raise KeyError(f"slot {slot!r} is unbound")
     u = bindings[slot]
+    if not isinstance(u, Operator):
+        raise TypeError(f"binding for slot {slot!r} is a {type(u).__name__}, not an Operator")
     if u.dim != dim:
         raise ValueError(f"binding for slot {slot!r} has dim {u.dim}, the slot acts on dim {dim}")
     return u.entries
@@ -259,16 +266,25 @@ def _slot_counts(stages) -> dict[str, int]:
     return dict(Counter(stage.slot for stage in stages if hasattr(stage, "slot")))
 
 
-def _compile_once(stages, dest, unitary) -> list[np.ndarray]:
+def _compile_once(stages, space, dest, unitary) -> list[np.ndarray]:
     """Compiled form of every stage position, for :func:`_apply_stage`: the
     matrix of ``unitary(stage)`` for a stage with a ``slot`` field, the gather
-    of ``dest(stage)`` for any other.  Each distinct stage is built once, in
-    order of first appearance, and reused at every position it occupies."""
+    :func:`_fixed_stage` keeps for ``dest`` on any other.  Each distinct stage
+    is built once, in order of first appearance, and reused at every position
+    it occupies."""
     built = {
-        s: unitary(s).entries if hasattr(s, "slot") else _gather(dest(s))
+        s: unitary(s).entries if hasattr(s, "slot") else _fixed_stage(dest, s, space)
         for s in dict.fromkeys(stages)
     }
     return [built[s] for s in stages]
+
+
+@functools.cache
+def _fixed_stage(dest, stage, space) -> np.ndarray:
+    """``_gather(dest(stage, space))``, built once per process for each key and
+    kept for the life of the process; a map that is not a permutation raises
+    on every call, since a raised exception is not cached."""
+    return _gather(dest(stage, space))
 
 
 def _gather(dest) -> np.ndarray:

@@ -223,7 +223,7 @@ class PulseSequence:
 
 def _compile(seq: PulseSequence, space: TrapSpace, bindings) -> list[np.ndarray]:
     return _compile_once(
-        seq.pulses, lambda p: _pulse_dest(p, space), lambda p: pulse_unitary(p, space, bindings)
+        seq.pulses, space, _pulse_dest, lambda p: pulse_unitary(p, space, bindings)
     )
 
 

@@ -346,7 +346,7 @@ _BRANCH_CUTOFF = 1e-14
 def _compile(net: Network, bindings: Mapping[str, Operator]) -> list[np.ndarray]:
     space = net.space
     return _compile_once(
-        net.stages, lambda e: _element_dest(e, space), lambda e: element_unitary(e, space, bindings)
+        net.stages, space, _element_dest, lambda e: element_unitary(e, space, bindings)
     )
 
 

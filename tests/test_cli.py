@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ctrlsim
-from ctrlsim.cli import PRESETS, main, parse_gate_spec
+from ctrlsim.cli import PRESETS, _build_parser, main, parse_gate_spec
 from ctrlsim.hilbert import is_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -429,6 +429,34 @@ def test_only_the_search_loads_scipy(tmp_path):
     assert probe["codes"] == [0] * (3 * len(PRESETS) + 1)
     assert probe["after_run"] == []
     assert "scipy.optimize" in probe["after_nogo"]
+
+
+class TestOneParser:
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_share_no_parse_state(self, capsys):
+        calls = [["run", "--preset", "ctrl-u", "--bind", f"U={spec}"] for spec in ("haar:3", "x")]
+        # each report as the first call of a fresh interpreter writes it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ctrlsim.__file__)))
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "ctrlsim.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True, text=True, timeout=300, check=True,
+            ).stdout
+            for argv in calls
+        ]
+        assert fresh[0] != fresh[1]
+        with pytest.raises(SystemExit) as rejected:
+            main(["run", "--preset", "no-such-preset"])
+        assert rejected.value.code == 2
+        capsys.readouterr()
+        for argv, report in zip(calls, fresh):
+            # a --bind list carried over would bind U twice and exit 2
+            assert main(argv) == 0
+            assert capsys.readouterr().out == report
+        assert main(["run", "--preset", "ctrl-u"]) == 2
+        assert capsys.readouterr().err == "error: missing gate bindings for slots: ['U']\n"
 
 
 class TestStdout:

@@ -1,13 +1,14 @@
 """The layer photonic networks and ion pulse sequences share: one
 slot-binding check, which the search passes through too, compiled stages
-that act exactly as the dense stage matrices, one sampler over the exact
-branch ensemble, and pulse files read field by field."""
+that act exactly as the dense stage matrices, fixed-stage gathers built
+once per process, one sampler over the exact branch ensemble, and pulse
+files read field by field."""
 
 import numpy as np
 import pytest
 
 from ctrlsim import ion, nogo, photonic
-from ctrlsim.hilbert import _apply_stage, _gather, haar_unitary, random_unit_vector
+from ctrlsim.hilbert import _apply_stage, _fixed_stage, _gather, haar_unitary, random_unit_vector
 
 PHOTONIC = photonic.PhotonicSpace(("u", "l"), 2)
 TRAP = ion.TrapSpace(3)
@@ -38,6 +39,24 @@ def test_wrong_dimension_has_one_message(stage, compile_):
     with pytest.raises(ValueError) as info:
         compile_(stage, {"U": haar_unitary(3, np.random.default_rng(1))})
     assert str(info.value) == "binding for slot 'U' has dim 3, the slot acts on dim 2"
+
+
+@pytest.mark.parametrize("stage,compile_", STAGES, ids=IDS)
+def test_a_binding_that_is_not_an_operator_fails_closed(stage, compile_):
+    # a raw matrix, unitary and of the right dimension, is still not a binding
+    with pytest.raises(TypeError) as info:
+        compile_(stage, {"U": np.eye(2)})
+    assert str(info.value) == "binding for slot 'U' is a ndarray, not an Operator"
+
+
+def test_non_operator_bindings_fail_closed_in_propagate_and_run_sequence():
+    bad = {"U": np.eye(2)}
+    net = photonic.preset_ctrl_u(2)
+    photon = photonic.photon_input(net.space, net.input_path, (1, 0), [1, 0])
+    with pytest.raises(TypeError, match="not an Operator"):
+        photonic.propagate(net, photon, bad)
+    with pytest.raises(TypeError, match="not an Operator"):
+        ion.run_sequence(ion.seq_ctrl_u(), ion.ion_input(TRAP, (1, 0), (1, 0)), bad)
 
 
 def _two_monitors():
@@ -144,3 +163,33 @@ def test_gather_is_read_only_and_inverts_the_map():
     src = _gather(np.array([2, 0, 1]))
     assert src.tolist() == [1, 2, 0]
     assert not src.flags.writeable
+
+
+def test_equal_fixed_stages_share_one_read_only_gather():
+    # equal but distinct (stage, space) keys, then whole compiled schemes
+    first, again = (
+        _fixed_stage(photonic._element_dest, photonic.HWP("u"), photonic.PhotonicSpace(paths, 2))
+        for paths in (("u", "l"), ["u", "l"])
+    )
+    assert first is again
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1
+    nets = [photonic.preset_ctrl_switch(2) for _ in range(2)]
+    rng = np.random.default_rng(4)
+    a, b = (photonic._compile(net, {s: haar_unitary(2, rng) for s in net.slots}) for net in nets)
+    for stage, x, y in zip(nets[0].stages, a, b, strict=True):
+        # a slot stage is built afresh from each call's binding
+        assert (x is y) != hasattr(stage, "slot"), stage
+    a, b = (ion._compile(ion.seq_ctrl_u(), ion.TrapSpace(3), {"U": haar_unitary(2, rng)}) for _ in range(2))
+    for pulse, x, y in zip(ion.seq_ctrl_u().pulses, a, b, strict=True):
+        assert (x is y) != hasattr(pulse, "slot"), pulse
+
+
+def _not_a_permutation(stage, space):
+    return np.zeros(space.total_dim, dtype=int)
+
+
+def test_a_bad_stage_map_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a permutation"):
+            _fixed_stage(_not_a_permutation, photonic.HWP("u"), PHOTONIC)
