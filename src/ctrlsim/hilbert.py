@@ -150,14 +150,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, tol=1e-8)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Operator(self.entries @ other.entries, tol=1e-8)
-
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim})"
 

@@ -24,18 +24,19 @@ take.
 Choi convention: unnormalized, output factor first, columns flattened
 in C order; the Choi matrix of a CPTP map on dimension D has trace D.
 
-scipy is imported inside :func:`expm` and :func:`minimize` on their
-first call, so importing this module, and every ``ctrlsim run`` and
-``emit-scheme``, needs numpy alone.  Both are called through the module
-globals, so they can be wrapped by name.
+One kernel, :func:`_objective`, computes the search's fidelities and
+gradient; ``tests/reference.py`` composes the same circuit one sample
+at a time with scipy's ``expm`` and is the independent check on it.
+scipy is imported inside :func:`minimize` on its first call, so
+importing this module, and every ``ctrlsim run`` and ``emit-scheme``,
+needs numpy alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache, partial, reduce
-from typing import Sequence
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -60,14 +61,20 @@ _SOFTMIN_BETA = 30.0
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """scipy's ``expm``, imported on the first call."""
+    """scipy's ``expm``, imported on the first call.
+
+    Nothing in the package calls it; it stays only because the
+    benchmark's span tracer (``perfbench/spans.py``) wraps
+    ``nogo.expm`` by name.  It can go when that span does.
+    """
     from scipy.linalg import expm as scipy_expm
 
     return scipy_expm(a)
 
 
 def minimize(*args, **kwargs):
-    """scipy's ``minimize``, imported on the first call."""
+    """scipy's ``minimize``, imported on the first call and called
+    through the module global, so it can be wrapped by name."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
@@ -121,55 +128,6 @@ def _generator_index(dim: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class ParamCircuit:
-    """Fixed circuit skeleton with parametrized surrounding gates.
-
-    Each slot gate is ``expm(i H)`` for a Hermitian generator ``H`` on
-    the full (ancilla, control, system) space, so the parameter count
-    is ``n_slots * (a * 2 * d)**2``.
-    """
-
-    kind: str
-    ancilla_dim: int
-    system_dim: int
-    params: np.ndarray
-
-    def __init__(self, kind: str, ancilla_dim: int, system_dim: int, params):
-        _check_kind(kind)
-        if ancilla_dim < 1 or system_dim < 1:
-            raise ValueError("dimensions must be positive")
-        params = np.array(params, dtype=float).reshape(-1)
-        expected = _n_slots(kind) * (ancilla_dim * 2 * system_dim) ** 2
-        if params.shape != (expected,):
-            raise ValueError(f"expected {expected} parameters, got {params.shape[0]}")
-        _require_finite(params)
-        params.setflags(write=False)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ancilla_dim", int(ancilla_dim))
-        object.__setattr__(self, "system_dim", int(system_dim))
-        object.__setattr__(self, "params", params)
-
-    @property
-    def full_dim(self) -> int:
-        return self.ancilla_dim * 2 * self.system_dim
-
-    @property
-    def cs_dim(self) -> int:
-        return 2 * self.system_dim
-
-    @cached_property
-    def slot_matrices(self) -> tuple[np.ndarray, ...]:
-        """Realized unitaries of the parametrized slots, in application
-        order (first matrix acts first).
-
-        Built one slot at a time with scipy's ``expm``: the reference
-        the search objective is tested against.
-        """
-        gens = hermitian_from_params(self.params.reshape(_n_slots(self.kind), -1), self.full_dim)
-        return tuple(expm(1j * h) for h in gens)
-
-
 def _require_finite(params: np.ndarray) -> None:
     if not np.isfinite(params).all():
         raise ValueError("search parameters must be finite")
@@ -182,8 +140,8 @@ def _slot_matrices(kind: str, full_dim: int, params: np.ndarray):
     application order.
 
     All generators come from one gather and one stacked Hermitian
-    eigendecomposition; scipy's ``expm`` in
-    :attr:`ParamCircuit.slot_matrices` is the reference.
+    eigendecomposition; ``tests/reference.py`` builds the same gates
+    one at a time with scipy's ``expm`` as the check on it.
     """
     vec = np.reshape(params, (*np.shape(params)[:-1], _n_slots(kind), full_dim * full_dim))
     w, v = np.linalg.eigh(hermitian_from_params(vec, full_dim))
@@ -198,40 +156,6 @@ def _oracle_entries(kind: str, bindings, dim: int) -> tuple[np.ndarray, ...]:
     """Matrices of the inserted slots, in circuit order, each through the
     schemes' binding check for a system of dimension ``dim``."""
     return tuple(_slot_binding(bindings, s, dim) for s in TASKS[kind][0])
-
-
-def _circuit_unitary(pc: ParamCircuit, bindings) -> np.ndarray:
-    """Total unitary on (a, c, s) with each bound slot inserted as
-    1_ac x U."""
-    entries = _oracle_entries(pc.kind, bindings, pc.system_dim)
-    eye_ac = np.eye(pc.ancilla_dim * 2)
-    slots = pc.slot_matrices
-    total = slots[-1]
-    for u, slot in zip(entries[::-1], slots[-2::-1]):
-        total = total @ np.kron(eye_ac, u) @ slot
-    return total
-
-
-def _choi_from_kraus(kraus: Sequence[np.ndarray], cs: int) -> np.ndarray:
-    j = np.zeros((cs * cs, cs * cs), dtype=np.complex128)
-    for k in kraus:
-        v = k.reshape(-1)
-        j += np.outer(v, v.conj())
-    return j
-
-
-def realized_channel(pc: ParamCircuit, bindings) -> np.ndarray:
-    """Choi matrix of the induced map on (control, system).
-
-    The ancilla starts in |0> and is traced out after the circuit, so
-    the channel's Kraus operators are the ancilla-output blocks of the
-    total unitary.
-    """
-    total = _circuit_unitary(pc, bindings)
-    a, cs = pc.ancilla_dim, pc.cs_dim
-    t4 = total.reshape(a, cs, a, cs)
-    kraus = [t4[m, :, 0, :] for m in range(a)]
-    return _choi_from_kraus(kraus, cs)
 
 
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:
@@ -287,16 +211,6 @@ def draw_samples(kind: str, system_dim: int, count: int, rng: np.random.Generato
     return tuple({s: haar_unitary(system_dim, rng) for s in slots} for _ in range(count))
 
 
-def worst_case_fidelity(pc: ParamCircuit, samples) -> float:
-    """Minimum process fidelity of the realized channel against the
-    controlled target, over the sample set."""
-    if not samples:
-        raise ValueError("sample set must be non-empty")
-    return min(
-        process_fidelity(realized_channel(pc, s), target_unitary(pc.kind, s)) for s in samples
-    )
-
-
 def _prepare_samples(kind: str, dim: int, samples):
     """Hoist the sample-dependent matrices out of the search loop; every
     binding passes the slot check here, once per search.
@@ -315,14 +229,15 @@ def _objective(kind: str, ancilla_dim: int, system_dim: int, x, prepared):
     """Search objective at one parameter point ``x``: ``(softmin,
     gradient, fidelities)``.
 
-    ``fidelities`` are the per-sample process fidelities whose minimum
-    :func:`worst_case_fidelity` returns; ``softmin`` smooths that minimum
-    at temperature ``_SOFTMIN_BETA`` and ``gradient`` is its exact
-    gradient in ``x``.  Only the ancilla-|0> columns are propagated, for
-    all samples side by side as ``(2a, d, S, cs)``, keeping the input of
-    each slot.  The adjoint pass runs back through the slots and the
-    ``1_ac x U`` insertions, and reaches the generators through the
-    eigendecomposition of the slot gates: for ``S = V e^{iw} V^dag``,
+    ``fidelities`` are the per-sample process fidelities of the realized
+    channel against :func:`target_unitary`, which ``tests/reference.py``
+    recomputes from a basis-enumeration Choi matrix; ``softmin`` smooths
+    their minimum at temperature ``_SOFTMIN_BETA`` and ``gradient`` is
+    its exact gradient in ``x``.  Only the ancilla-|0> columns are
+    propagated, for all samples side by side as ``(2a, d, S, cs)``,
+    keeping the input of each slot.  The adjoint pass runs back through
+    the slots and the ``1_ac x U`` insertions, and reaches the generators
+    through the eigendecomposition of the slot gates: for ``S = V e^{iw} V^dag``,
     ``dS = V (Phi o V^dag i dH V) V^dag`` with ``Phi_jk = e^{i(w_j+w_k)/2}
     sinc((w_j - w_k) / 2 pi)``, which holds at degenerate spectra too.
     """
@@ -427,10 +342,9 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
     with its exact gradient; its reported value is the true minimum over
     samples at the point L-BFGS-B returns, and its iteration and
     evaluation counts and convergence flag are scipy's.  Non-convergence
-    is reported per restart, never raised.  ``ParamCircuit`` with
-    :func:`worst_case_fidelity` computes the same fidelities through
-    scipy's ``expm`` and is the reference the objective is tested
-    against.
+    is reported per restart, never raised.  The report's
+    ``config.sample_count`` is the number of samples scored, also when
+    they are supplied.
     """
     _check_kind(kind)
     d, a = config.system_dim, config.ancilla_dim
@@ -439,6 +353,7 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
         samples = draw_samples(kind, d, config.sample_count, sample_rng)
     n = param_count(kind, a, d)
     prepared = _prepare_samples(kind, d, samples)
+    config = replace(config, sample_count=len(samples))
 
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
         softmin, grad, _ = _objective(kind, a, d, x, prepared)

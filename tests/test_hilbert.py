@@ -90,9 +90,9 @@ class TestStateAndOperatorInvariants:
 
     def test_operator_composition_and_adjoint(self):
         rng = np.random.default_rng(18)
-        w = haar_unitary(3, rng) @ haar_unitary(3, rng)
+        w = Operator(haar_unitary(3, rng).entries @ haar_unitary(3, rng).entries)
         assert is_unitary(w, 1e-10)
-        assert np.max(np.abs((w @ w.dagger()).entries - np.eye(3))) < 1e-10
+        assert np.max(np.abs(w.entries @ w.entries.conj().T - np.eye(3))) < 1e-10
 
 
 class TestSubsystemEmbed:
@@ -331,7 +331,7 @@ class TestHaarUnitary:
 
     def test_group_closure(self):
         rng = np.random.default_rng(16)
-        prod = haar_unitary(3, rng) @ haar_unitary(3, rng)
+        prod = Operator(haar_unitary(3, rng).entries @ haar_unitary(3, rng).entries)
         assert is_unitary(prod, 1e-10)
 
     def test_first_entry_moment(self):

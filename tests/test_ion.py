@@ -344,11 +344,11 @@ class TestCtrlSwitchSequence:
         for _ in range(10):
             uf, ug = haar_unitary(2, rng), haar_unitary(2, rng)
             block_g = subspace_embed(
-                ug @ uf,
+                Operator(ug.entries @ uf.entries),
                 DirectSumBlock([space.flat(G, G, 0), space.flat(G, E, 0)], space.total_dim),
             )
             block_e = subspace_embed(
-                uf @ ug,
+                Operator(uf.entries @ ug.entries),
                 DirectSumBlock([space.flat(E, G, 0), space.flat(E, E, 0)], space.total_dim),
             )
             init = ion_input(space, random_unit_vector(2, rng), random_unit_vector(2, rng))

@@ -7,7 +7,6 @@ from ctrlsim.hilbert import Operator, haar_unitary
 from ctrlsim.nogo import (
     CTRL_U,
     SWITCH,
-    ParamCircuit,
     SearchConfig,
     _objective,
     _prepare_samples,
@@ -19,45 +18,21 @@ from ctrlsim.nogo import (
     oracle_sanity,
     param_count,
     process_fidelity,
-    realized_channel,
     target_unitary,
-    worst_case_fidelity,
 )
+from reference import choi_oracle
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def circuit_unitary_oracle(pc, bindings):
-    """Independent composition of the circuit's total unitary."""
-    eye_ac = np.eye(pc.ancilla_dim * 2)
-    slots = list(pc.slot_matrices)
-    ins = [np.kron(eye_ac, bindings[s].entries) for s in nogo.TASKS[pc.kind][0]]
-    total = slots[0]
-    for insertion, slot in zip(ins, slots[1:]):
-        total = slot @ insertion @ total
-    return total
+def kernel_fidelities(kind, a, d, x, samples):
+    """Per-sample fidelities of the search kernel."""
+    return _objective(kind, a, d, x, _prepare_samples(kind, d, samples))[2]
 
 
-def choi_oracle(pc, bindings):
-    """Basis-enumeration Choi matrix: evolve every matrix unit
-    |i><j| with the ancilla attached, trace the ancilla by explicit
-    index summation, and assemble sum_ij E(|i><j|) (x) |i><j|."""
-    total = circuit_unitary_oracle(pc, bindings)
-    a, cs = pc.ancilla_dim, 2 * pc.system_dim
-    anc = np.zeros((a, a), dtype=complex)
-    anc[0, 0] = 1.0
-    j = np.zeros((cs * cs, cs * cs), dtype=complex)
-    for i in range(cs):
-        for k in range(cs):
-            unit = np.zeros((cs, cs), dtype=complex)
-            unit[i, k] = 1.0
-            rho_in = np.kron(anc, unit)
-            rho_out = total @ rho_in @ total.conj().T
-            reduced = np.zeros((cs, cs), dtype=complex)
-            for m in range(a):
-                reduced += rho_out[m * cs : (m + 1) * cs, m * cs : (m + 1) * cs]
-            j += np.kron(reduced, unit)
-    return j
+def reference_fidelity(kind, a, d, x, bindings):
+    """The same fidelity from the reference's basis-enumeration Choi matrix."""
+    return process_fidelity(choi_oracle(kind, a, d, x, bindings), target_unitary(kind, bindings))
 
 
 class TestParametrization:
@@ -85,40 +60,38 @@ class TestParametrization:
         assert param_count(CTRL_U, 1, 3) == 2 * 36
 
     def test_param_circuit_validation(self):
+        # a parameter vector of the wrong length and an unknown kind
+        rng = np.random.default_rng(0)
+        prepared = _prepare_samples(CTRL_U, 2, draw_samples(CTRL_U, 2, 1, rng))
         with pytest.raises(ValueError):
-            ParamCircuit(CTRL_U, 2, 2, np.zeros(5))
+            _objective(CTRL_U, 2, 2, np.zeros(5), prepared)
         with pytest.raises(ValueError):
-            ParamCircuit("bogus", 2, 2, np.zeros(128))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_param_circuit_rejects_non_finite(self, bad):
-        params = np.zeros(param_count(CTRL_U, 1, 2))
-        params[3] = bad
-        with pytest.raises(ValueError, match="finite"):
-            ParamCircuit(CTRL_U, 1, 2, params)
+            optimize("bogus", SearchConfig())
 
     def test_slot_matrices_are_unitary(self):
         rng = np.random.default_rng(1)
-        pc = ParamCircuit(SWITCH, 2, 2, rng.normal(size=param_count(SWITCH, 2, 2)))
-        for m in pc.slot_matrices:
+        _, _, slots = _slot_matrices(SWITCH, 8, rng.normal(size=param_count(SWITCH, 2, 2)))
+        for m in slots:
             assert np.max(np.abs(m.conj().T @ m - np.eye(8))) < 1e-8
 
 
 class TestRealizedChannel:
+    """The channel the circuit realizes: the reference Choi matrix, the
+    kernel's overlaps with it, and the bindings the kernel accepts."""
+
     def test_identity_slots_give_wire_insertion(self):
         rng = np.random.default_rng(2)
         u = haar_unitary(2, rng)
-        pc = ParamCircuit(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)))
-        choi = realized_channel(pc, {"U": u})
+        choi = choi_oracle(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)), {"U": u})
         want = choi_of_unitary(np.kron(np.eye(2), u.entries))
         assert np.max(np.abs(choi - want)) < 1e-12
 
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
     def test_choi_is_cptp(self, kind):
         rng = np.random.default_rng(3)
-        pc = ParamCircuit(kind, 2, 2, rng.normal(size=param_count(kind, 2, 2)))
+        x = rng.normal(size=param_count(kind, 2, 2))
         (bindings,) = draw_samples(kind, 2, 1, rng)
-        choi = realized_channel(pc, bindings)
+        choi = choi_oracle(kind, 2, 2, x, bindings)
         d = 2
         assert np.max(np.abs(choi - choi.conj().T)) < 1e-8
         assert float(np.min(np.linalg.eigvalsh(choi))) > -1e-8
@@ -130,21 +103,25 @@ class TestRealizedChannel:
 
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
     def test_against_basis_enumeration_oracle(self, kind):
+        # the kernel's fidelity against any unitary, not only the
+        # controlled target, is the overlap with the reference Choi matrix
         rng = np.random.default_rng(4)
-        pc = ParamCircuit(kind, 2, 2, rng.normal(size=param_count(kind, 2, 2)))
+        x = rng.normal(size=param_count(kind, 2, 2))
         (bindings,) = draw_samples(kind, 2, 1, rng)
-        choi = realized_channel(pc, bindings)
-        assert np.max(np.abs(choi - choi_oracle(pc, bindings))) < 1e-10
+        oracles, _ = _prepare_samples(kind, 2, (bindings,))
+        choi = choi_oracle(kind, 2, 2, x, bindings)
+        for _ in range(4):
+            v = haar_unitary(4, rng)
+            fid = _objective(kind, 2, 2, x, (oracles, v.entries.conj()[None]))[2]
+            assert abs(fid[0] - process_fidelity(choi, v)) < 1e-13
 
     def test_oracle_dimension_mismatch(self):
-        pc = ParamCircuit(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)))
         with pytest.raises(ValueError):
-            realized_channel(pc, {"U": Operator(np.eye(3))})
+            _prepare_samples(CTRL_U, 2, ({"U": Operator(np.eye(3))},))
 
     def test_switch_needs_pair(self):
-        pc = ParamCircuit(SWITCH, 1, 2, np.zeros(param_count(SWITCH, 1, 2)))
-        with pytest.raises(KeyError):
-            realized_channel(pc, {"Uf": Operator(np.eye(2))})
+        with pytest.raises(KeyError, match="'Ug'"):
+            _prepare_samples(SWITCH, 2, ({"Uf": Operator(np.eye(2))},))
 
 
 class TestTargetUnitary:
@@ -195,12 +172,13 @@ class TestProcessFidelity:
 
 class TestWorstCaseFidelity:
     def test_identity_everything(self):
-        pc = ParamCircuit(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)))
-        assert abs(worst_case_fidelity(pc, ({"U": Operator(np.eye(2))},)) - 1) < 1e-12
+        x = np.zeros(param_count(CTRL_U, 1, 2))
+        fid = kernel_fidelities(CTRL_U, 1, 2, x, ({"U": Operator(np.eye(2))},))
+        assert abs(fid.min() - 1) < 1e-12
 
     def test_sigma_x_sample_gives_quarter(self):
-        pc = ParamCircuit(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)))
-        assert abs(worst_case_fidelity(pc, ({"U": Operator(X)},)) - 0.25) < 1e-12
+        x = np.zeros(param_count(CTRL_U, 1, 2))
+        assert abs(kernel_fidelities(CTRL_U, 1, 2, x, ({"U": Operator(X)},)).min() - 0.25) < 1e-12
 
     def test_direct_sum_oracle_realizes_target_exactly(self):
         # the physically realized insertion (identity (+) U) is the
@@ -217,15 +195,15 @@ class TestWorstCaseFidelity:
 
     def test_monotone_under_sample_supersets(self):
         rng = np.random.default_rng(9)
-        pc = ParamCircuit(CTRL_U, 2, 2, rng.normal(size=param_count(CTRL_U, 2, 2)))
+        x = rng.normal(size=param_count(CTRL_U, 2, 2))
         samples = draw_samples(CTRL_U, 2, 8, rng)
+        worst = kernel_fidelities(CTRL_U, 2, 2, x, samples).min()
         for k in range(1, 8):
-            assert worst_case_fidelity(pc, samples) <= worst_case_fidelity(pc, samples[:k]) + 1e-12
+            assert worst <= kernel_fidelities(CTRL_U, 2, 2, x, samples[:k]).min() + 1e-12
 
     def test_empty_samples_rejected(self):
-        pc = ParamCircuit(CTRL_U, 1, 2, np.zeros(param_count(CTRL_U, 1, 2)))
         with pytest.raises(ValueError):
-            worst_case_fidelity(pc, ())
+            _prepare_samples(CTRL_U, 2, ())
 
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
     def test_fast_path_matches_reference(self, kind):
@@ -233,9 +211,8 @@ class TestWorstCaseFidelity:
         for a, d in ((2, 2), (1, 1)):
             samples = draw_samples(kind, d, 5, rng)
             x = rng.normal(size=param_count(kind, a, d))
-            ref = worst_case_fidelity(ParamCircuit(kind, a, d, x), samples)
-            _, _, fid = _objective(kind, a, d, x, _prepare_samples(kind, d, samples))
-            assert abs(ref - fid.min()) < 1e-14
+            ref = min(reference_fidelity(kind, a, d, x, s) for s in samples)
+            assert abs(ref - kernel_fidelities(kind, a, d, x, samples).min()) < 1e-14
 
 
 def params_from_hermitian(h):
@@ -291,12 +268,10 @@ class TestBatchedKernel:
         weights /= weights.sum()
         assert np.allclose(grad, weights @ [g for _, g, _ in single], rtol=0, atol=1e-13)
         assert fid.min() - np.log(5) / nogo._SOFTMIN_BETA <= softmin <= fid.min()
-        pc = ParamCircuit(kind, a, d, x)
         for s, value in zip(samples, fid):
-            ref = process_fidelity(realized_channel(pc, s), target_unitary(kind, s))
-            assert abs(value - ref) < 1e-13
+            assert abs(value - reference_fidelity(kind, a, d, x, s)) < 1e-13
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_kernel_rejects_non_finite(self, bad):
         rng, _, prepared = random_problem(CTRL_U, 1, 2, 2, 24)
         x = rng.normal(size=param_count(CTRL_U, 1, 2))
@@ -335,6 +310,16 @@ class TestOptimize:
         for got, (converged, value) in zip(rep.restarts, self.PIN[kind]):
             assert got.converged == converged
             assert abs(got.value - value) < 1e-6
+
+    def test_report_counts_the_samples_it_scored(self):
+        # supplied samples, more than the config asks for, are what the
+        # report counts; drawn samples leave the config as it was
+        cfg = SearchConfig(restarts=1, max_iters=5, sample_count=3, seed=2)
+        samples = draw_samples(CTRL_U, 2, 6, np.random.default_rng(2))
+        rep = optimize(CTRL_U, cfg, samples=samples)
+        assert rep.config.sample_count == len(samples) == 6
+        assert rep.config.seed == cfg.seed and rep.config.restarts == cfg.restarts
+        assert optimize(CTRL_U, cfg).config == cfg
 
     def test_known_oracle_is_reachable(self):
         cfg = SearchConfig(restarts=1, max_iters=50, sample_count=1, seed=3)

@@ -13,17 +13,14 @@ from ctrlsim.hilbert import _apply_stage, _fixed_stage, _gather, haar_unitary, r
 PHOTONIC = photonic.PhotonicSpace(("u", "l"), 2)
 TRAP = ion.TrapSpace(3)
 
-SEARCH = nogo.ParamCircuit(nogo.CTRL_U, 1, 2, np.zeros(nogo.param_count(nogo.CTRL_U, 1, 2)))
-
 # (stage carrying slot "U" of dimension 2, how to compile it)
 STAGES = [
     (photonic.Device("l", "U"), lambda e, b: photonic.element_unitary(e, PHOTONIC, b)),
     (photonic.MonitoredDevice("l", "U"), lambda e, b: photonic.element_unitary(e, PHOTONIC, b)),
     (ion.Carrier(2, "U"), lambda e, b: ion.pulse_unitary(e, TRAP, b)),
-    (SEARCH, nogo.realized_channel),
     (nogo.CTRL_U, lambda kind, b: nogo._prepare_samples(kind, 2, (b,))),
 ]
-IDS = ["device", "monitored-device", "carrier", "search-circuit", "search-samples"]
+IDS = ["device", "monitored-device", "carrier", "search-samples"]
 
 
 @pytest.mark.parametrize("stage,compile_", STAGES, ids=IDS)
