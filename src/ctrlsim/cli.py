@@ -87,7 +87,7 @@ def parse_gate_spec(text: str, dim: int = 2) -> Operator:
             raise ValueError(f"matrix literal needs a square entry count, got {len(flat)}")
         m = np.array(flat, dtype=complex).reshape(d, d)
         try:
-            return Operator(m, tol=1e-8)
+            return Operator(m)
         except ValueError as exc:
             raise ValueError(f"matrix literal is not unitary: {exc}") from None
     raise ValueError(f"unknown gate spec {text!r}")

@@ -13,11 +13,13 @@ Conventions used by every module in this package:
   supplied by the caller.  Nothing in this package touches numpy's
   global random state.
 * Photonic networks and ion pulse sequences share one scheme layer,
-  kept here: ``_slot_binding``, ``_compile_once``, ``_fixed_stage``,
-  ``_apply_stage``, ``_slot_counts`` and the JSON reader ``_json_field``.
-  A fixed stage compiles to an index gather, built once per process for
-  each (stage, space) by ``_fixed_stage``; a slot stage compiles to its
-  dense unitary on every call.
+  kept here: ``_slot_binding``, ``_stage_unitary``, ``_compile_once``,
+  ``_fixed_stage``, ``_apply_stage``, ``_slot_counts`` and the JSON
+  reader ``_json_field``.  Each stage has an index map (photonic
+  ``_element_map``, ion ``_pulse_map``).  A fixed stage compiles to
+  its gather, built once per process for each (stage, space) by
+  ``_fixed_stage``; a slot stage compiles to its dense unitary from
+  ``_stage_unitary`` on every call.
 """
 
 from __future__ import annotations
@@ -136,13 +138,13 @@ class StateVector:
 
 class Operator:
     """Unitary matrix: the constructor verifies ``U^dag U = 1`` to within
-    ``tol`` and rejects any other square matrix."""
+    ``DEFAULT_TOL`` and rejects any other square matrix."""
 
-    def __init__(self, entries, tol: float = DEFAULT_TOL):
+    def __init__(self, entries):
         m = _as_complex_matrix(entries)
         dev = _unitary_deviation(m)
-        if not dev <= tol:  # written to fail on NaN
-            raise ValueError(f"matrix claimed unitary but deviates by {dev:.3e} (tol {tol})")
+        if not dev <= DEFAULT_TOL:  # written to fail on NaN
+            raise ValueError(f"matrix claimed unitary but deviates by {dev:.3e} (tol {DEFAULT_TOL})")
         m.setflags(write=False)
         self.entries = m
 
@@ -258,31 +260,45 @@ def _slot_counts(stages) -> dict[str, int]:
     return dict(Counter(stage.slot for stage in stages if hasattr(stage, "slot")))
 
 
-def _compile_once(stages, space, dest, unitary) -> list[np.ndarray]:
+def _compile_once(stages, space, index_map, unitary) -> list[np.ndarray]:
     """Compiled form of every stage position, for :func:`_apply_stage`: the
     matrix of ``unitary(stage)`` for a stage with a ``slot`` field, the gather
-    :func:`_fixed_stage` keeps for ``dest`` on any other.  Each distinct stage
-    is built once, in order of first appearance, and reused at every position
-    it occupies."""
+    :func:`_fixed_stage` keeps for ``index_map`` on any other.  Each distinct
+    stage is built once, in order of first appearance, and reused at every
+    position it occupies."""
     built = {
-        s: unitary(s).entries if hasattr(s, "slot") else _fixed_stage(dest, s, space)
+        s: unitary(s).entries if hasattr(s, "slot") else _fixed_stage(index_map, s, space)
         for s in dict.fromkeys(stages)
     }
     return [built[s] for s in stages]
 
 
 @functools.cache
-def _fixed_stage(dest, stage, space) -> np.ndarray:
-    """``_gather(dest(stage, space))``, built once per process for each key and
-    kept for the life of the process; a map that is not a permutation raises
-    on every call, since a raised exception is not cached."""
-    return _gather(dest(stage, space))
+def _fixed_stage(index_map, stage, space) -> np.ndarray:
+    """``_gather(index_map(stage, space))``, built once per process for each
+    key and kept for the life of the process; a map that is not a permutation
+    raises on every call, since a raised exception is not cached."""
+    return _gather(index_map(stage, space))
+
+
+def _stage_unitary(stage, space, index_map, bindings: Mapping[str, Operator] | None) -> Operator:
+    """Dense unitary of a stage from ``idx = index_map(stage, space)``: a fixed
+    stage moves basis state ``j`` to ``idx[j]``; a slot stage's binding acts on
+    each row of ``idx``, identity elsewhere (the ``1 (+) U`` embedding)."""
+    idx, n = index_map(stage, space), space.total_dim
+    if not hasattr(stage, "slot"):
+        full = np.zeros((n, n), dtype=np.complex128)
+        full[idx, np.arange(n)] = 1.0
+    else:
+        full = np.eye(n, dtype=np.complex128)
+        full[idx[:, :, None], idx[:, None, :]] = _slot_binding(bindings, stage.slot, idx.shape[1])
+    return Operator(full)
 
 
 def _gather(dest) -> np.ndarray:
-    """Read-only source indices ``src`` with ``s[src] == _permutation(dest) @ s``
-    for every state ``s``; ``dest`` that is not a permutation of
-    ``range(n)`` raises ``ValueError``."""
+    """Read-only source indices ``src`` with ``s[src] == P @ s`` for every
+    state ``s``, where ``P`` moves basis state ``j`` to ``dest[j]``; ``dest``
+    that is not a permutation of ``range(n)`` raises ``ValueError``."""
     dest = np.asarray(dest)
     src = np.argsort(dest) if dest.ndim == 1 and dest.dtype.kind in "iu" else None
     if src is None or not np.array_equal(dest[src], np.arange(dest.size)):
@@ -314,14 +330,7 @@ def subsystem_embed(u: Operator, space: HilbertSpace, slot: str) -> Operator:
     for k, (_, dim) in enumerate(space.factors):
         block = u.entries if k == axis else np.eye(dim)
         full = np.kron(full, block)
-    return Operator(full, tol=1e-8)
-
-
-def _permutation(dest: np.ndarray) -> np.ndarray:
-    """Permutation matrix moving basis state ``j`` to ``dest[j]``."""
-    full = np.zeros((dest.size, dest.size), dtype=np.complex128)
-    full[dest, np.arange(dest.size)] = 1.0
-    return full
+    return Operator(full)
 
 
 def subspace_embed(u: Operator, emb: DirectSumBlock) -> Operator:
@@ -340,7 +349,7 @@ def subspace_embed(u: Operator, emb: DirectSumBlock) -> Operator:
     full = np.eye(emb.total_dim, dtype=np.complex128)
     idx = np.array(emb.block_indices)
     full[np.ix_(idx, idx)] = u.entries
-    return Operator(full, tol=1e-8)
+    return Operator(full)
 
 
 def apply(op: Operator, psi: StateVector) -> StateVector:

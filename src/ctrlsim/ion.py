@@ -38,9 +38,8 @@ from .hilbert import (
     _apply_stage,
     _compile_once,
     _json_field,
-    _permutation,
-    _slot_binding,
     _slot_counts,
+    _stage_unitary,
 )
 
 G, E, GP, EP = 0, 1, 2, 3
@@ -150,8 +149,11 @@ def _levels(space: TrapSpace, ion: int) -> np.ndarray:
     return idx if ion == 1 else idx.swapaxes(0, 1)
 
 
-def _pulse_dest(p: Pulse, space: TrapSpace) -> np.ndarray:
-    """Basis map of a fixed pulse: basis state ``j`` moves to ``dest[j]``."""
+def _pulse_map(p: Pulse, space: TrapSpace) -> np.ndarray:
+    """Index map of a pulse: a carrier's ``(k, 2)`` (g, e) pairs, one per
+    spectator level and n, or a fixed pulse's basis map."""
+    if isinstance(p, Carrier):
+        return _levels(space, p.ion)[[G, E]].reshape(2, -1).T
     exchange = _EXCHANGES.get((type(p), getattr(p, "which", None)))
     if exchange is None:
         raise TypeError(f"unknown pulse type: {p!r}")
@@ -166,15 +168,9 @@ def _pulse_dest(p: Pulse, space: TrapSpace) -> np.ndarray:
 def pulse_unitary(
     p: Pulse, space: TrapSpace, bindings: Mapping[str, Operator] | None = None
 ) -> Operator:
-    """Full-space unitary of one ideal pulse."""
-    if isinstance(p, Carrier):
-        u = _slot_binding(bindings, p.slot, 2)
-        # one (g, e) index pair per spectator level and motional level
-        pairs = _levels(space, p.ion)[[G, E]].reshape(2, -1).T
-        full = np.eye(space.total_dim, dtype=np.complex128)
-        full[pairs[:, :, None], pairs[:, None, :]] = u
-        return Operator(full)
-    return Operator(_permutation(_pulse_dest(p, space)))
+    """Full-space unitary of one ideal pulse from its index map: a carrier's
+    binding on each (g, e) pair of its ion, identity elsewhere."""
+    return _stage_unitary(p, space, _pulse_map, bindings)
 
 
 @dataclass(frozen=True)
@@ -223,7 +219,7 @@ class PulseSequence:
 
 def _compile(seq: PulseSequence, space: TrapSpace, bindings) -> list[np.ndarray]:
     return _compile_once(
-        seq.pulses, space, _pulse_dest, lambda p: pulse_unitary(p, space, bindings)
+        seq.pulses, space, _pulse_map, lambda p: pulse_unitary(p, space, bindings)
     )
 
 

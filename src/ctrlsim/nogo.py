@@ -188,7 +188,7 @@ def target_unitary(kind: str, bindings) -> Operator:
     reproduce: :func:`control_branches` as diagonal blocks."""
     first, second = control_branches(kind, bindings)
     zero = np.zeros(first.shape)
-    return Operator(np.block([[first, zero], [zero, second]]), tol=1e-8)
+    return Operator(np.block([[first, zero], [zero, second]]))
 
 
 def process_fidelity(choi: np.ndarray, target: Operator) -> float:
@@ -242,6 +242,8 @@ def _objective(kind: str, ancilla_dim: int, system_dim: int, x, prepared):
     sinc((w_j - w_k) / 2 pi)``, which holds at degenerate spectra too.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (n := param_count(kind, ancilla_dim, system_dim),):
+        raise ValueError(f"expected {n} search parameters for {kind}, got shape {x.shape}")
     _require_finite(x)
     oracles, targets = prepared
     blocks, d, cs, n_samples = 2 * ancilla_dim, system_dim, 2 * system_dim, len(oracles)
@@ -335,7 +337,7 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
     """Multi-restart maximization of the worst-case process fidelity.
 
     A fixed sample set of slot bindings is drawn once from the seed (or
-    supplied explicitly, e.g. a known oracle or a phase-closed set).
+    supplied as any iterable, e.g. a known oracle or a phase-closed set).
     Restart 0 starts from zero parameters (identity slots); later
     restarts start from random Gaussian parameters.  Each restart is one
     scipy L-BFGS-B run on :func:`_objective`, the softmin over samples
@@ -349,8 +351,8 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
     _check_kind(kind)
     d, a = config.system_dim, config.ancilla_dim
     if samples is None:
-        sample_rng = np.random.default_rng(config.seed)
-        samples = draw_samples(kind, d, config.sample_count, sample_rng)
+        samples = draw_samples(kind, d, config.sample_count, np.random.default_rng(config.seed))
+    samples = tuple(samples)
     n = param_count(kind, a, d)
     prepared = _prepare_samples(kind, d, samples)
     config = replace(config, sample_count=len(samples))

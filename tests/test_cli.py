@@ -12,6 +12,8 @@ from ctrlsim.cli import PRESETS, _build_parser, main, parse_gate_spec
 from ctrlsim.hilbert import is_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+# U^dag U - 1 is about 1e-9, ten times the one unitarity tolerance
+NEAR_UNITARY = "matrix:[[1,0],[0,0],[0,0],[1.0000000005,0]]"
 
 
 def run_cli(*argv):
@@ -38,6 +40,10 @@ class TestParseGateSpec:
     def test_matrix_literal(self):
         got = parse_gate_spec("matrix:[[0,0],[1,0],[1,0],[0,0]]")
         assert np.array_equal(got.entries, X)
+
+    def test_a_literal_no_scheme_can_run_is_rejected_at_parse_time(self):
+        with pytest.raises(ValueError, match="matrix literal is not unitary"):
+            parse_gate_spec(NEAR_UNITARY)
 
     def test_haar_spec_deterministic_and_dim_aware(self):
         a = parse_gate_spec("haar:7", dim=3)
@@ -174,6 +180,14 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset", ["ctrl-u", "ion-ctrl-u"])
+    def test_near_unitary_literal_exits_2_at_parse_time(self, tmp_path, capsys, preset):
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--preset", preset, "--u", NEAR_UNITARY, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: matrix literal is not unitary")
         assert not out.exists()
 
     def test_missing_binding_exits_2(self, tmp_path):

@@ -353,7 +353,7 @@ class TestIsUnitary:
         assert is_unitary(Operator(np.eye(4)), 1e-10)
 
     def test_diagonal_stretch(self):
-        assert not is_unitary(Operator(np.diag([1.0, 1.0 + 1e-9]), tol=1e-8), 1e-10)
+        assert not is_unitary(Operator(np.diag([1.0, 1.0 + 1e-11])), 1e-12)
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -63,7 +63,8 @@ class TestParametrization:
         # a parameter vector of the wrong length and an unknown kind
         rng = np.random.default_rng(0)
         prepared = _prepare_samples(CTRL_U, 2, draw_samples(CTRL_U, 2, 1, rng))
-        with pytest.raises(ValueError):
+        n = param_count(CTRL_U, 2, 2)
+        with pytest.raises(ValueError, match=rf"expected {n} search parameters .* shape \(5,\)"):
             _objective(CTRL_U, 2, 2, np.zeros(5), prepared)
         with pytest.raises(ValueError):
             optimize("bogus", SearchConfig())
@@ -330,6 +331,12 @@ class TestOptimize:
         assert rep.config.sample_count == len(samples) == 6
         assert rep.config.seed == cfg.seed and rep.config.restarts == cfg.restarts
         assert optimize(CTRL_U, cfg).config == cfg
+
+    def test_a_one_shot_iterator_of_samples_is_scored(self):
+        cfg = SearchConfig(restarts=1, max_iters=5, seed=2)
+        samples = draw_samples(CTRL_U, 2, 4, np.random.default_rng(2))
+        rep = optimize(CTRL_U, cfg, samples=iter(samples))
+        assert rep.to_json() == optimize(CTRL_U, cfg, samples=samples).to_json()
 
     def test_known_oracle_is_reachable(self):
         cfg = SearchConfig(restarts=1, max_iters=50, sample_count=1, seed=3)

@@ -1,14 +1,24 @@
 """The layer photonic networks and ion pulse sequences share: one
 slot-binding check, which the search passes through too, compiled stages
-that act exactly as the dense stage matrices, fixed-stage gathers built
-once per process, one sampler over the exact branch ensemble, and pulse
-files read field by field."""
+that act exactly as the dense stage matrices, slot-stage matrices equal
+to test-side embeddings, fixed-stage gathers built once per process, one
+sampler over the exact branch ensemble, and pulse files read field by
+field."""
 
 import numpy as np
 import pytest
 
 from ctrlsim import ion, nogo, photonic
-from ctrlsim.hilbert import _apply_stage, _fixed_stage, _gather, haar_unitary, random_unit_vector
+from ctrlsim.hilbert import (
+    DirectSumBlock,
+    Operator,
+    _apply_stage,
+    _fixed_stage,
+    _gather,
+    haar_unitary,
+    random_unit_vector,
+    subspace_embed,
+)
 
 PHOTONIC = photonic.PhotonicSpace(("u", "l"), 2)
 TRAP = ion.TrapSpace(3)
@@ -135,6 +145,39 @@ def test_compiled_stages_act_exactly_as_their_dense_matrices():
             assert _apply_stage(action, s).tobytes() == (matrix @ s).tobytes(), (label, stage)
 
 
+@pytest.mark.parametrize("device", [photonic.Device, photonic.MonitoredDevice])
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_device_matrix_is_the_kron_block_embedded_on_its_path(device, d):
+    # the oracle: 1_pol x U as a direct-sum block on the path's indices
+    space = photonic.PhotonicSpace(("a", "b", "c"), d)
+    u = haar_unitary(d, np.random.default_rng(d))
+    for path in space.paths:
+        block = DirectSumBlock(
+            [space.flat(path, pol, i) for pol in (photonic.H, photonic.V) for i in range(d)],
+            space.total_dim,
+        )
+        want = subspace_embed(Operator(np.kron(np.eye(2), u.entries)), block).entries
+        got = photonic.element_unitary(device(path, "U"), space, {"U": u}).entries
+        assert np.array_equal(got, want), path
+
+
+@pytest.mark.parametrize("fock", [2, 3, 10])
+def test_carrier_matrix_is_the_bound_matrix_on_every_g_e_pair(fock):
+    space = ion.TrapSpace(fock)
+    u = haar_unitary(2, np.random.default_rng(fock))
+    for which in (1, 2):
+        want = np.eye(space.total_dim, dtype=complex)
+        for other in range(4):
+            for n in range(fock):
+                levels = [(lv, other) if which == 1 else (other, lv) for lv in (ion.G, ion.E)]
+                pair = [space.flat(*lvs, n) for lvs in levels]
+                for i in range(2):
+                    for j in range(2):
+                        want[pair[i], pair[j]] = u.entries[i, j]
+        got = ion.pulse_unitary(ion.Carrier(which, "U"), space, {"U": u}).entries
+        assert np.array_equal(got, want), which
+
+
 @pytest.mark.parametrize("build", [photonic.preset_ctrl_u, photonic.preset_ctrl_switch, _cycle])
 @pytest.mark.parametrize("d", [1, 2, 3, 16])
 def test_network_unitary_is_the_dense_product(build, d):
@@ -165,7 +208,7 @@ def test_gather_is_read_only_and_inverts_the_map():
 def test_equal_fixed_stages_share_one_read_only_gather():
     # equal but distinct (stage, space) keys, then whole compiled schemes
     first, again = (
-        _fixed_stage(photonic._element_dest, photonic.HWP("u"), photonic.PhotonicSpace(paths, 2))
+        _fixed_stage(photonic._element_map, photonic.HWP("u"), photonic.PhotonicSpace(paths, 2))
         for paths in (("u", "l"), ["u", "l"])
     )
     assert first is again
