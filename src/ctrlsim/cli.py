@@ -51,8 +51,8 @@ def parse_gate_spec(text: str, dim: int = 2) -> Operator:
 
     Accepted forms: the named gates ``i x y z h s t``, rotations
     ``rx:θ ry:θ rz:θ`` (radians), ``haar:seed`` (deterministic in the
-    seed, dimension ``dim``), and ``matrix:[[re,im],...]`` with the
-    entries row-major.
+    non-negative integer seed, dimension ``dim``), and
+    ``matrix:[[re,im],...]`` with the entries row-major.
     """
     text = text.strip()
     name, _, arg = text.partition(":")
@@ -74,7 +74,9 @@ def parse_gate_spec(text: str, dim: int = 2) -> Operator:
         try:
             seed = int(arg)
         except ValueError:
-            raise ValueError(f"malformed seed in gate spec {text!r}") from None
+            seed = None
+        if seed is None or seed < 0:
+            raise ValueError(f"malformed seed in gate spec {text!r}")
         return haar_unitary(dim, np.random.default_rng(seed))
     if name == "matrix":
         try:
@@ -172,10 +174,13 @@ def _collect_bindings(args, slots, dim: int) -> tuple[dict[str, str], dict[str, 
     missing = set(slots) - set(specs)
     if missing:
         raise ValueError(f"missing gate bindings for slots: {sorted(missing)}")
-    return (
-        {slot: specs[slot] for slot in slots},
-        {slot: parse_gate_spec(specs[slot], dim) for slot in slots},
-    )
+    gates = {}
+    for slot in slots:
+        try:
+            gates[slot] = parse_gate_spec(specs[slot], dim)
+        except ValueError as exc:
+            raise ValueError(f"slot {slot!r}: {exc}") from None
+    return {slot: specs[slot] for slot in slots}, gates
 
 
 # preset name -> (scheme family, builder, kind of the analytic target)
@@ -263,6 +268,8 @@ def _cmd_run(args) -> int:
         value = getattr(args, flag)
         if not math.isfinite(value):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     sources = [args.preset, args.scheme, args.sequence]
     if sum(s is not None for s in sources) != 1:
         raise ValueError("need exactly one of --preset, --scheme, --sequence")

@@ -43,8 +43,8 @@ def _as_complex_matrix(entries) -> np.ndarray:
 
 
 def _unitary_deviation(m: np.ndarray) -> float:
-    d = m.shape[0]
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(d))))
+    """``max |U^dag U - 1|`` over a matrix or a stack ``(..., d, d)``."""
+    return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))))
 
 
 @dataclass(frozen=True)

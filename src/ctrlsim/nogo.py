@@ -25,8 +25,11 @@ Choi convention: unnormalized, output factor first, columns flattened
 in C order; the Choi matrix of a CPTP map on dimension D has trace D.
 
 One kernel, :func:`_objective`, computes the search's fidelities and
-gradient; ``tests/reference.py`` composes the same circuit one sample
-at a time with scipy's ``expm`` and is the independent check on it.
+gradient with matmuls alone: the samples are the rows of one state
+matrix, and :func:`_prepare_samples` builds every sample's matrices
+once per search.  ``tests/reference.py`` composes the same circuit one
+sample at a time with scipy's ``expm`` and is the independent check on
+it.
 scipy is imported inside :func:`minimize` on its first call, so
 importing this module, and every ``ctrlsim run`` and ``emit-scheme``,
 needs numpy alone.
@@ -41,7 +44,7 @@ from functools import lru_cache, partial, reduce
 import numpy as np
 
 from . import ion, photonic
-from .hilbert import Operator, _slot_binding, haar_unitary
+from .hilbert import DEFAULT_TOL, Operator, _slot_binding, _unitary_deviation, haar_unitary
 
 CTRL_U = "ctrl_u"
 SWITCH = "switch"
@@ -128,6 +131,33 @@ def _generator_index(dim: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _generator_maps(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hermitian_from_params` and its adjoint as real matrices
+    ``(to_h, back)``, built from :func:`_generator_index`.
+
+    ``(vec @ to_h).view(complex128)`` is the flattened generator of
+    ``vec``; for a flattened complex ``c``, ``c.view(float64) @ back``
+    is the ``g`` with ``g . dvec = 2 Re sum(conj(c) * 1j * dH)``.
+    Columns of ``to_h`` and rows of ``back`` come in (Re, Im) pairs,
+    the layout of complex128.  Every nonzero is ``±1`` or ``±2``, with
+    at most one per column of ``to_h`` and two per column of ``back``,
+    so both products equal the gather and scatter they replace exactly.
+    """
+    re, im, sign = _generator_index(dim)
+    entries = np.arange(dim * dim)
+    to_h = np.zeros((dim * dim, dim * dim, 2))
+    to_h[re, entries, 0] = 1.0
+    to_h[im, entries, 1] = sign
+    back = np.zeros((dim * dim, 2, dim * dim))
+    back[entries, 0, im] = -2.0 * sign
+    back[entries, 1, re] = 2.0
+    out = (to_h.reshape(dim * dim, -1), back.reshape(-1, dim * dim))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _require_finite(params: np.ndarray) -> None:
     if not np.isfinite(params).all():
         raise ValueError("search parameters must be finite")
@@ -139,12 +169,14 @@ def _slot_matrices(kind: str, full_dim: int, params: np.ndarray):
     ``gates = V e^{i w} V^dag`` of shape ``(..., n_slots, D, D)`` in
     application order.
 
-    All generators come from one gather and one stacked Hermitian
-    eigendecomposition; ``tests/reference.py`` builds the same gates
-    one at a time with scipy's ``expm`` as the check on it.
+    All generators come from one product with the cached generator map
+    and one stacked Hermitian eigendecomposition; ``tests/reference.py``
+    builds the same gates one at a time with scipy's ``expm`` as the
+    check on it.
     """
     vec = np.reshape(params, (*np.shape(params)[:-1], _n_slots(kind), full_dim * full_dim))
-    w, v = np.linalg.eigh(hermitian_from_params(vec, full_dim))
+    gens = (vec @ _generator_maps(full_dim)[0]).view(np.complex128)
+    w, v = np.linalg.eigh(gens.reshape(*vec.shape[:-1], full_dim, full_dim))
     return w, v, (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -173,14 +205,20 @@ def control_branches(kind: str, bindings) -> tuple[np.ndarray, np.ndarray]:
     The controlled target applies the first to the system when the
     control is |0> and the second when it is |1>.
     """
-    slots, orders = TASKS[_check_kind(kind)]
-    dim = bindings[slots[0]].dim
+    slots = TASKS[_check_kind(kind)][0]
+    return _branch_products(kind, {s: bindings[s].entries for s in slots}, bindings[slots[0]].dim)
+
+
+def _branch_products(kind: str, mats, dim: int) -> tuple[np.ndarray, ...]:
+    """Per control value, the product of ``mats[slot]`` over its order
+    in :data:`TASKS`, first-acting rightmost; the identity for an empty
+    order.  Leading axes of the matrices are batch axes."""
 
     def branch(order):
-        mats = [bindings[s].entries for s in order]
-        return reduce(lambda m, u: u @ m, mats) if mats else np.eye(dim)
+        factors = [mats[s] for s in order]
+        return reduce(lambda m, u: u @ m, factors) if factors else np.eye(dim)
 
-    return tuple(branch(order) for order in orders)
+    return tuple(branch(order) for order in TASKS[kind][1])
 
 
 def target_unitary(kind: str, bindings) -> Operator:
@@ -216,13 +254,24 @@ def _prepare_samples(kind: str, dim: int, samples):
     binding passes the slot check here, once per search.
 
     Returns the bound slots stacked as ``(S, n_insertions, d, d)`` in
-    insertion order and the conjugated targets ``(S, cs, cs)``.
+    insertion order and the conjugated targets ``(S, cs, cs)``.  The
+    targets are built for all samples at once, from the same branch
+    products as :func:`control_branches`, stacked: each branch is
+    written into its diagonal block of one zeroed array, and the whole
+    stack passes one unitarity check at ``DEFAULT_TOL``.
     """
     if not samples:
         raise ValueError("sample set must be non-empty")
+    slots = TASKS[kind][0]
     oracles = np.stack([np.stack(_oracle_entries(kind, s, dim)) for s in samples])
-    targets = np.stack([target_unitary(kind, s).entries.conj() for s in samples])
-    return oracles, targets
+    by_slot = {s: oracles[:, k] for k, s in enumerate(slots)}
+    targets = np.zeros((len(oracles), 2 * dim, 2 * dim), dtype=np.complex128)
+    for c, branch in enumerate(_branch_products(kind, by_slot, dim)):
+        targets[:, c * dim : (c + 1) * dim, c * dim : (c + 1) * dim] = branch
+    dev = _unitary_deviation(targets)
+    if not dev <= DEFAULT_TOL:  # written to fail on NaN
+        raise ValueError(f"control target deviates from unitary by {dev:.3e} (tol {DEFAULT_TOL})")
+    return oracles, targets.conj()
 
 
 def _objective(kind: str, ancilla_dim: int, system_dim: int, x, prepared):
@@ -233,60 +282,65 @@ def _objective(kind: str, ancilla_dim: int, system_dim: int, x, prepared):
     channel against :func:`target_unitary`, which ``tests/reference.py``
     recomputes from a basis-enumeration Choi matrix; ``softmin`` smooths
     their minimum at temperature ``_SOFTMIN_BETA`` and ``gradient`` is
-    its exact gradient in ``x``.  Only the ancilla-|0> columns are
-    propagated, for all samples side by side as ``(2a, d, S, cs)``,
-    keeping the input of each slot.  The adjoint pass runs back through
-    the slots and the ``1_ac x U`` insertions, and reaches the generators
-    through the eigendecomposition of the slot gates: for ``S = V e^{iw} V^dag``,
-    ``dS = V (Phi o V^dag i dH V) V^dag`` with ``Phi_jk = e^{i(w_j+w_k)/2}
-    sinc((w_j - w_k) / 2 pi)``, which holds at degenerate spectra too.
+    its exact gradient in ``x``.
+
+    Every contraction is a matmul.  Only the ancilla-|0> columns are
+    propagated, for all samples at once, as the rows of one
+    ``(S cs, D)`` state matrix: row (sample, input column), column
+    (block, system).  A slot is ``rows @ G^T``, an insertion
+    ``1_ac x O`` is ``rows.reshape(S, cs 2a, d) @ O^T`` per sample, and
+    the input of each slot is kept.  The adjoint pass runs the same rows
+    back through ``conj(G)`` and ``conj(O)``, and reaches the generators
+    through the eigendecomposition of the slot gates: for ``S = V e^{iw}
+    V^dag``, ``dS = V (Phi o V^dag i dH V) V^dag`` with ``Phi_jk =
+    e^{i(w_j+w_k)/2} sinc((w_j - w_k) / 2 pi)``, which holds at
+    degenerate spectra too.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (n := param_count(kind, ancilla_dim, system_dim),):
         raise ValueError(f"expected {n} search parameters for {kind}, got shape {x.shape}")
     _require_finite(x)
     oracles, targets = prepared
-    blocks, d, cs, n_samples = 2 * ancilla_dim, system_dim, 2 * system_dim, len(oracles)
-    full_dim = blocks * d
+    d, cs, n_samples = system_dim, 2 * system_dim, len(oracles)
+    full_dim = ancilla_dim * cs
     w, v, slots = _slot_matrices(kind, full_dim, x)
     n_slots = len(slots)
+    targets_t = targets.swapaxes(-1, -2)
 
     # forward: the input of slot k >= 1 is the output of insertion k
-    cols = slots[0, :, :cs].reshape(blocks, d, 1, cs)
+    rows = slots[0, :, :cs].T
     inputs = []
     for k in range(1, n_slots):
-        rows = np.einsum("sij,bjsc->bisc", oracles[:, k - 1], cols)
-        inputs.append(rows)
-        cols = (slots[k] @ rows.reshape(full_dim, -1)).reshape(blocks, d, n_samples, cs)
-    # Kraus operator m of sample s is cols[(m, i), s, j]
-    kraus = cols.reshape(ancilla_dim, cs, n_samples, cs)
-    overlaps = np.einsum("misj,sij->sm", kraus, targets)
+        rows = rows.reshape(-1, 2 * ancilla_dim * cs, d) @ oracles[:, k - 1].swapaxes(-1, -2)
+        inputs.append(rows.reshape(n_samples * cs, full_dim))
+        rows = inputs[-1] @ slots[k].T
+    # Kraus operator m of sample s is rows[(s, j), (m, i)] at entry (i, j),
+    # so its overlap with the target is one product with targets_t
+    kraus_t = rows.reshape(n_samples, cs, ancilla_dim, cs).transpose(0, 2, 1, 3)
+    overlaps = kraus_t.reshape(n_samples, ancilla_dim, -1) @ targets_t.reshape(n_samples, -1, 1)
+    overlaps = overlaps[..., 0]
     fid = np.sum(np.abs(overlaps) ** 2, axis=-1) / (cs * cs)
     weights = np.exp(-_SOFTMIN_BETA * (fid - fid.min()))
     softmin = fid.min() - np.log(weights.sum()) / _SOFTMIN_BETA
     weights /= weights.sum()
 
-    # adjoint: lam holds dF/d conj(cols); grads[k] is dF/d conj(slot k)
+    # adjoint: lam holds dF/d conj(rows); grads[k] is dF/d conj(slot k)
     coef = weights[:, None] * overlaps / (cs * cs)
-    lam = np.einsum("sm,sij->misj", coef, targets.conj()).reshape(blocks, d, n_samples, cs)
+    lam = (coef[:, None, :, None] * targets_t.conj()[:, :, None, :]).reshape(-1, full_dim)
     grads = np.zeros_like(slots)
     for k in range(n_slots - 1, 0, -1):
-        flat = lam.reshape(full_dim, -1)
-        grads[k] = flat @ inputs[k - 1].reshape(full_dim, -1).conj().T
-        lam = (slots[k].conj().T @ flat).reshape(blocks, d, n_samples, cs)
-        lam = np.einsum("sji,bjsc->bisc", oracles[:, k - 1].conj(), lam)
-    grads[0, :, :cs] = lam.sum(axis=2).reshape(full_dim, cs)
+        grads[k] = lam.T @ inputs[k - 1].conj()
+        lam = (lam @ slots[k].conj()).reshape(n_samples, -1, d) @ oracles[:, k - 1].conj()
+        lam = lam.reshape(-1, full_dim)
+    grads[0, :, :cs] = lam.reshape(n_samples, cs, full_dim).sum(axis=0).T
 
     # through the eigendecomposition to the Hermitian generators
     vh = v.conj().swapaxes(-1, -2)
-    phi = np.exp(0.5j * (w[:, :, None] + w[:, None, :]))
-    phi *= np.sinc((w[:, :, None] - w[:, None, :]) / (2 * np.pi))
-    c = (v @ (phi.conj() * (vh @ grads @ v)) @ vh).reshape(n_slots, -1)
-    re, im, sign = _generator_index(full_dim)
-    offsets = full_dim * full_dim * np.arange(n_slots)[:, None]
-    grad = np.bincount((re + offsets).ravel(), (2 * c.imag).ravel(), x.size)
-    grad -= np.bincount((im + offsets).ravel(), (2 * sign * c.real).ravel(), x.size)
-    return softmin, grad, fid
+    half = np.exp(-0.5j * w)
+    phi_conj = half[:, :, None] * half[:, None, :]
+    phi_conj *= np.sinc((w[:, :, None] - w[:, None, :]) / (2 * np.pi))
+    c = (v @ (phi_conj * (vh @ grads @ v)) @ vh).reshape(n_slots, -1)
+    return softmin, (c.view(np.float64) @ _generator_maps(full_dim)[1]).reshape(-1), fid
 
 
 @dataclass(frozen=True)
@@ -307,6 +361,8 @@ class SearchConfig:
         for name in ("restarts", "max_iters", "sample_count", "system_dim", "ancilla_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)

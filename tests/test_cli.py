@@ -187,7 +187,31 @@ class TestRunCommand:
         out = tmp_path / "r.json"
         assert run_cli("run", "--preset", preset, "--u", NEAR_UNITARY, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: matrix literal is not unitary")
+        assert err.count("\n") == 1 and err.startswith("error: slot 'U': matrix literal is not unitary")
+        assert not out.exists()
+
+    def test_a_bad_gate_spec_names_its_slot(self, tmp_path, capsys):
+        # with two literals the error says which one failed
+        out = tmp_path / "r.json"
+        argv = ["run", "--preset", "ctrl-switch", "--uf", "matrix:[[1,0],[1,0],[0,0],[0,0]]",
+                "--ug", "h", "--out", str(out)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: slot 'Uf': matrix literal is not unitary")
+        assert not out.exists()
+
+    def test_negative_haar_seed_is_a_malformed_seed(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--preset", "ctrl-u", "--u", "haar:-3", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: slot 'U': malformed seed in gate spec 'haar:-3'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sample", [[], ["--sample"]], ids=["pure", "sampled"])
+    def test_negative_seed_is_rejected_by_name(self, tmp_path, capsys, sample):
+        out = tmp_path / "r.json"
+        argv = ["run", "--preset", "ctrl-u-monitored", "--u", "x", *sample, "--seed", "-1"]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
     def test_missing_binding_exits_2(self, tmp_path):
@@ -405,6 +429,12 @@ class TestNogoCommand:
 
     def test_bad_config_exits_2(self, tmp_path):
         assert run_cli("nogo", "--kind", "ctrl-u", "--restarts", "0") == 2
+
+    def test_negative_seed_is_rejected_by_name(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("nogo", "--kind", "ctrl-u", "--seed", "-1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
 
 
 _SCIPY_PROBE = textwrap.dedent(

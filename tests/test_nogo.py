@@ -219,7 +219,7 @@ class TestWorstCaseFidelity:
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
     def test_fast_path_matches_reference(self, kind):
         rng = np.random.default_rng(10)
-        for a, d in ((2, 2), (1, 1)):
+        for a, d in ((2, 2), (1, 1), (1, 3), (2, 3), (3, 2)):
             samples = draw_samples(kind, d, 5, rng)
             x = rng.normal(size=param_count(kind, a, d))
             ref = min(reference_fidelity(kind, a, d, x, s) for s in samples)
@@ -264,7 +264,7 @@ class TestBatchedKernel:
             assert np.max(np.abs(slots[k // 2, k % 2] - want)) < 1e-12
 
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
-    @pytest.mark.parametrize("a,d", [(2, 2), (1, 1)])
+    @pytest.mark.parametrize("a,d", [(2, 2), (1, 1), (1, 3), (2, 3), (3, 2)])
     def test_batch_equals_single_calls_and_reference(self, kind, a, d):
         # samples side by side give each sample's fidelity and gradient as
         # a one-sample call does, and the softmin weights the gradients
@@ -281,6 +281,47 @@ class TestBatchedKernel:
         assert fid.min() - np.log(5) / nogo._SOFTMIN_BETA <= softmin <= fid.min()
         for s, value in zip(samples, fid):
             assert abs(value - reference_fidelity(kind, a, d, x, s)) < 1e-13
+
+    @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_prepared_targets_are_the_target_unitaries(self, kind, d):
+        # all samples' targets at once are exactly target_unitary's, conjugated
+        _, samples, (oracles, targets) = random_problem(kind, 1, d, 6, 22)
+        assert oracles.shape == (6, len(nogo.TASKS[kind][0]), d, d)
+        assert targets.shape == (6, 2 * d, 2 * d)
+        for s, got in zip(samples, targets):
+            assert np.array_equal(got, target_unitary(kind, s).entries.conj())
+
+    def test_prepared_targets_pass_one_unitarity_check(self, monkeypatch):
+        # one stacked check at DEFAULT_TOL covers every target
+        calls = []
+        real = nogo._unitary_deviation
+
+        def spy(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(nogo, "_unitary_deviation", spy)
+        _prepare_samples(SWITCH, 2, draw_samples(SWITCH, 2, 5, np.random.default_rng(23)))
+        assert calls == [(5, 4, 4)]
+        monkeypatch.setattr(nogo, "_unitary_deviation", lambda m: 2 * nogo.DEFAULT_TOL)
+        with pytest.raises(ValueError, match="unitary"):
+            _prepare_samples(CTRL_U, 2, draw_samples(CTRL_U, 2, 2, np.random.default_rng(23)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_generator_maps_are_exact(self, dim):
+        # to_h reproduces hermitian_from_params, batch axes included, and
+        # back is its adjoint: on every unit parameter vector e_p,
+        # (c.view(float) @ back)[p] = 2 Re sum(conj(c) * i H(e_p))
+        to_h, back = nogo._generator_maps(dim)
+        rng = np.random.default_rng(25)
+        vecs = rng.normal(size=(3, 2, dim * dim))
+        gens = (vecs @ to_h).view(np.complex128).reshape(3, 2, dim, dim)
+        assert np.array_equal(gens, hermitian_from_params(vecs, dim))
+        c = rng.normal(size=(4, dim * dim)) + 1j * rng.normal(size=(4, dim * dim))
+        units = hermitian_from_params(np.eye(dim * dim), dim).reshape(dim * dim, -1)
+        want = 2 * np.real(c.conj() @ (1j * units).T)
+        assert np.array_equal(c.view(np.float64) @ back, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_kernel_rejects_non_finite(self, bad):
@@ -354,14 +395,16 @@ class TestOptimize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(restarts=0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            SearchConfig(seed=-1)
 
     def test_gradient_matches_directional_difference(self):
         # the exact gradient against central differences of the softmin,
         # per coordinate and along it, at a random point and at x = 0
         # (all slot spectra degenerate)
         rng = np.random.default_rng(11)
-        a, d, eps = 1, 2, 1e-6
-        for kind in (CTRL_U, SWITCH):
+        eps = 1e-6
+        for kind, a, d in ((CTRL_U, 1, 2), (SWITCH, 1, 2), (CTRL_U, 2, 3), (SWITCH, 2, 3)):
             prepared = _prepare_samples(kind, d, draw_samples(kind, d, 4, rng))
             n = param_count(kind, a, d)
 

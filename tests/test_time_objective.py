@@ -1,0 +1,25 @@
+"""A smoke run of ``tools/time_objective.py``, so the timer does not rot."""
+
+import importlib.util
+import os
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SPEC = importlib.util.spec_from_file_location(
+    "time_objective", os.path.join(_ROOT, "tools", "time_objective.py")
+)
+time_objective = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(time_objective)
+
+
+def test_one_round_per_tree_prints_every_part(capsys):
+    assert time_objective.main(["--repeats", "1", "--src", os.path.join(_ROOT, "src")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# _objective at a = 2, d = 2, S = 16: 1 rounds")
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [
+        ["ctrl_u", "this"], ["ctrl_u", "--src"], ["switch", "this"], ["switch", "--src"]
+    ]
+    for row in rows:
+        call, call_iqr, slots, slots_iqr, rest, rest_iqr = map(float, row[2:])
+        assert call > 0 and slots > 0 and call_iqr == slots_iqr == rest_iqr == 0.0
+        assert abs(call - slots - rest) < 0.2
