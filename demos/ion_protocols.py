@@ -57,7 +57,7 @@ from ctrlsim.hilbert import StateVector
 
 print("final fidelity vs (alpha|g>|psi> + beta|e>U|psi>)|0>:",
       fidelity_pure(final, StateVector(space.hilbert, target)))
-print("vibrational mode back in the ground state:", assert_ground_mode(final, 1e-12))
+print("vibrational mode back in the ground state:", assert_ground_mode(final))
 
 # Order control: each unknown pulse is sent once and reflected back by
 # a mirror, so it interacts twice. The sigma-x exchanges between the

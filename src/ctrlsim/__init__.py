@@ -25,15 +25,11 @@ from .hilbert import (
     HilbertSpace,
     Operator,
     StateVector,
-    apply,
     basis_state,
     fidelity_mixed,
     fidelity_pure,
     haar_unitary,
-    is_unitary,
     partial_trace,
-    product_state,
-    random_state,
     random_unit_vector,
     subspace_embed,
     subsystem_embed,
@@ -47,15 +43,11 @@ __all__ = [
     "Operator",
     "StateVector",
     "__version__",
-    "apply",
     "basis_state",
     "fidelity_mixed",
     "fidelity_pure",
     "haar_unitary",
-    "is_unitary",
     "partial_trace",
-    "product_state",
-    "random_state",
     "random_unit_vector",
     "subspace_embed",
     "subsystem_embed",

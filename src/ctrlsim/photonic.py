@@ -527,10 +527,10 @@ def preset_ctrl_switch(internal_dim: int) -> Network:
     return Network(space, stages, "f", "g")
 
 
-def two_photon_product(device: Device, u: Operator, upper_path: str = "u") -> Operator:
+def two_photon_product(device: Device, u: Operator) -> Operator:
     """Joint internal-space action when two photons feed the device.
 
-    One photon occupies ``upper_path``, the other the device path.  The
+    One photon occupies path ``u``, the other the device path.  The
     device acts on whatever arrives on its own path, so the joint
     operator on (upper internal) x (lower internal) is ``1 x U``.  The
     construction goes through the generic single-photon element matrix
@@ -538,9 +538,9 @@ def two_photon_product(device: Device, u: Operator, upper_path: str = "u") -> Op
     """
     if not isinstance(device, Device):
         raise TypeError("expected a Device network fragment")
-    if device.path == upper_path:
+    if device.path == "u":
         raise ValueError("the two photons must occupy different paths")
-    space = PhotonicSpace((upper_path, device.path), u.dim)
+    space = PhotonicSpace(("u", device.path), u.dim)
     full = element_unitary(device, space, {device.slot: u}).entries
 
     d = space.internal_dim
@@ -559,7 +559,7 @@ def two_photon_product(device: Device, u: Operator, upper_path: str = "u") -> Op
             raise ValueError(f"element acts polarization-dependently on path {p!r}")
         per_path[p] = blocks[0]
 
-    joint = np.kron(per_path[upper_path], per_path[device.path])
+    joint = np.kron(per_path["u"], per_path[device.path])
     expected = np.kron(np.eye(d), u.entries)
     if np.max(np.abs(joint - expected)) > 1e-12:
         raise ValueError("two-photon action deviates from identity x U")

@@ -4,14 +4,36 @@ The fixed circuit is composed one sample at a time: each slot gate is
 scipy's ``expm(1j * H)`` of its generator, each unknown is inserted as
 ``1_ac x U`` in the order of ``nogo.TASKS``, and the Choi matrix comes
 from evolving every matrix unit with the ancilla attached.  Nothing here
-calls the kernel's own builders (``_slot_matrices``, ``_oracle_entries``,
-``_prepare_samples``), so agreement with them is a real check.
+calls the kernel's own helpers (``_generator_maps``, ``_slot_matrices``,
+``_oracle_entries``, ``_prepare_samples``), so agreement with them is a
+real check.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from ctrlsim.nogo import TASKS, hermitian_from_params
+from ctrlsim.nogo import TASKS
+
+
+def hermitian_from_params(vec, dim):
+    """Real vector of length dim**2 to a Hermitian matrix.
+
+    The first ``dim`` entries fill the diagonal; the next ``n`` fill the
+    real parts and the last ``n`` the imaginary parts of the strict upper
+    triangle, in ``np.triu_indices`` order (``n = dim (dim - 1) / 2``).
+    Leading axes of ``vec`` are batch axes: ``(..., dim**2)`` gives
+    ``(..., dim, dim)``.
+    """
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape[-1:] != (dim * dim,):
+        raise ValueError(f"expected {dim * dim} parameters, got {vec.shape}")
+    rows, cols = np.triu_indices(dim, k=1)
+    n = rows.size
+    h = np.zeros((*vec.shape[:-1], dim, dim), dtype=complex)
+    h[..., range(dim), range(dim)] = vec[..., :dim]
+    h[..., rows, cols] = vec[..., dim : dim + n] + 1j * vec[..., dim + n :]
+    h[..., cols, rows] = vec[..., dim : dim + n] - 1j * vec[..., dim + n :]
+    return h
 
 
 def circuit_unitary_oracle(kind, ancilla_dim, system_dim, x, bindings):

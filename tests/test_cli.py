@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import ctrlsim
+from ctrlsim import nogo
 from ctrlsim.cli import PRESETS, _build_parser, main, parse_gate_spec
-from ctrlsim.hilbert import is_unitary
+from ctrlsim.hilbert import _unitary_deviation
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 # U^dag U - 1 is about 1e-9, ten times the one unitarity tolerance
@@ -50,7 +51,7 @@ class TestParseGateSpec:
         b = parse_gate_spec("haar:7", dim=3)
         assert np.array_equal(a.entries, b.entries)
         assert a.dim == 3
-        assert is_unitary(a, 1e-10)
+        assert _unitary_deviation(a.entries) <= 1e-10
 
     @pytest.mark.parametrize(
         "bad",
@@ -59,6 +60,11 @@ class TestParseGateSpec:
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(ValueError):
             parse_gate_spec(bad)
+
+    @pytest.mark.parametrize("empty", ["matrix:[]", "matrix:{}"])
+    def test_an_empty_literal_gets_its_own_error(self, empty):
+        with pytest.raises(ValueError, match="^matrix literal needs a positive square entry count, got 0$"):
+            parse_gate_spec(empty)
 
 
 class TestRunCommand:
@@ -230,15 +236,28 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: slot 'U' is bound twice\n"
         assert not out.exists()
 
-    def test_fidelity_threshold_controls_exit_code(self, tmp_path):
-        # an impossible tolerance forces the failure path
+    def test_fidelity_threshold_controls_exit_code(self, tmp_path, monkeypatch):
+        # a target whose branches both leave the system alone: with U = X
+        # on |0> and equal control amplitudes the output scores 1/4
+        monkeypatch.setattr(nogo, "control_branches", lambda kind, bindings: (np.eye(2), np.eye(2)))
         out = tmp_path / "r.json"
-        code = run_cli(
-            "run", "--preset", "ctrl-u", "--u", "x", "--tolerance", "-1",
-            "--out", str(out),
-        )
-        assert code == 1
-        assert out.exists()  # report still written for inspection
+        argv = ["run", "--preset", "ctrl-u", "--u", "x", "--out", str(out)]
+        assert run_cli(*argv, "--tolerance", "0.5") == 1
+        assert abs(read_report(out)["fidelity"] - 0.25) < 1e-12  # report still written
+        assert run_cli(*argv, "--tolerance", "0.9") == 0
+
+    @pytest.mark.parametrize("value", ["-1", "1", "5"])
+    def test_tolerance_outside_the_unit_interval_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "r.json"
+        code = run_cli("run", "--preset", "ctrl-u", "--u", "h", "--tolerance", value, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --tolerance must be in [0, 1), got {float(value)}\n"
+        assert not out.exists()
+
+    def test_an_empty_literal_exits_2_with_its_own_error(self, capsys):
+        assert run_cli("run", "--preset", "ctrl-u", "--u", "matrix:[]") == 2
+        err = capsys.readouterr().err
+        assert err == "error: slot 'U': matrix literal needs a positive square entry count, got 0\n"
 
     def test_conflicting_sources_rejected(self, tmp_path):
         assert run_cli("run", "--preset", "ctrl-u", "--scheme", "x.json", "--u", "i") == 2

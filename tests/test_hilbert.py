@@ -7,15 +7,12 @@ from ctrlsim.hilbert import (
     HilbertSpace,
     Operator,
     StateVector,
-    apply,
+    _unitary_deviation,
     basis_state,
     fidelity_mixed,
     fidelity_pure,
     haar_unitary,
-    is_unitary,
     partial_trace,
-    product_state,
-    random_state,
     random_unit_vector,
     subspace_embed,
     subsystem_embed,
@@ -91,7 +88,7 @@ class TestStateAndOperatorInvariants:
     def test_operator_composition_and_adjoint(self):
         rng = np.random.default_rng(18)
         w = Operator(haar_unitary(3, rng).entries @ haar_unitary(3, rng).entries)
-        assert is_unitary(w, 1e-10)
+        assert _unitary_deviation(w.entries) <= 1e-10
         assert np.max(np.abs(w.entries @ w.entries.conj().T - np.eye(3))) < 1e-10
 
 
@@ -120,8 +117,8 @@ class TestSubsystemEmbed:
             u = haar_unitary(2, rng)
             psi_c = random_unit_vector(2, rng)
             psi_s = random_unit_vector(3, rng)
-            state = product_state(space, {"c": psi_c, "s": psi_s})
-            evolved = apply(subsystem_embed(u, space, "c"), state)
+            state = StateVector(space, np.kron(psi_c, psi_s))
+            evolved = StateVector(space, subsystem_embed(u, space, "c").entries @ state.amps)
             before = partial_trace(state.outer(), {"s"})
             after = partial_trace(evolved.outer(), {"s"})
             assert np.max(np.abs(before.entries - after.entries)) < 1e-12
@@ -179,19 +176,23 @@ class TestSubspaceEmbed:
         gate = subspace_embed(Operator(X), DirectSumBlock([2, 3], 4))
         table = {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 1), (1, 1): (1, 0)}
         for occ_in, occ_out in table.items():
-            got = apply(gate, basis_state(space, occ_in))
+            got = StateVector(space, gate.entries @ basis_state(space, occ_in).amps)
             assert fidelity_pure(got, basis_state(space, occ_out)) > 1 - 1e-12
 
 
 class TestApply:
+    """A state evolved by an operator's matrix stays a normalized state."""
+
     def test_identity(self):
         rng = np.random.default_rng(5)
-        psi = random_state(HilbertSpace([("q", 4)]), rng)
-        assert fidelity_pure(apply(Operator(np.eye(4)), psi), psi) > 1 - 1e-12
+        space = HilbertSpace([("q", 4)])
+        psi = StateVector(space, random_unit_vector(space.total_dim, rng))
+        out = StateVector(space, Operator(np.eye(4)).entries @ psi.amps)
+        assert fidelity_pure(out, psi) > 1 - 1e-12
 
     def test_basis_flip(self):
         space = HilbertSpace([("q", 2)])
-        out = apply(Operator(X), basis_state(space, (0,)))
+        out = StateVector(space, Operator(X).entries @ basis_state(space, (0,)).amps)
         assert fidelity_pure(out, basis_state(space, (1,))) > 1 - 1e-12
 
     def test_ctrl_x_on_superposition_matches_matvec_oracle(self):
@@ -204,26 +205,23 @@ class TestApply:
                 expected[i] += gate.entries[i, j] * amps[j]
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         assert np.max(np.abs(expected - bell)) < 1e-15
-        out = apply(gate, StateVector(space, amps))
+        out = StateVector(space, gate.entries @ amps)
         assert np.max(np.abs(out.amps - bell)) < 1e-12
-
-    def test_errors(self):
-        psi = basis_state(HilbertSpace([("q", 2)]), (0,))
-        with pytest.raises(ValueError):
-            apply(Operator(np.eye(3)), psi)
 
     def test_norm_conservation_property(self):
         rng = np.random.default_rng(6)
         space = HilbertSpace([("q", 5)])
         for _ in range(25):
-            out = apply(haar_unitary(5, rng), random_state(space, rng))
+            u = haar_unitary(5, rng)
+            out = StateVector(space, u.entries @ random_unit_vector(space.total_dim, rng))
             assert abs(np.linalg.norm(out.amps) - 1) < 1e-10
 
 
 class TestFidelities:
     def test_self_overlap(self):
         rng = np.random.default_rng(7)
-        psi = random_state(HilbertSpace([("q", 3)]), rng)
+        space = HilbertSpace([("q", 3)])
+        psi = StateVector(space, random_unit_vector(space.total_dim, rng))
         assert abs(fidelity_pure(psi, psi) - 1) < 1e-12
 
     def test_orthogonal(self):
@@ -250,7 +248,8 @@ class TestFidelities:
         rng = np.random.default_rng(8)
         space = HilbertSpace([("q", 2)])
         rho = DensityMatrix(space, np.eye(2) / 2)
-        assert abs(fidelity_mixed(rho, random_state(space, rng)) - 0.5) < 1e-12
+        psi = StateVector(space, random_unit_vector(space.total_dim, rng))
+        assert abs(fidelity_mixed(rho, psi) - 0.5) < 1e-12
 
     def test_mixed_against_coherent_target(self):
         # equal mixture of the two branches vs their equal superposition:
@@ -259,8 +258,8 @@ class TestFidelities:
         space = HilbertSpace([("pol", 2), ("s", 2)])
         u = haar_unitary(2, rng)
         psi = random_unit_vector(2, rng)
-        branch_h = product_state(space, {"pol": [1, 0], "s": psi})
-        branch_v = product_state(space, {"pol": [0, 1], "s": u.entries @ psi})
+        branch_h = StateVector(space, np.kron([1, 0], psi))
+        branch_v = StateVector(space, np.kron([0, 1], u.entries @ psi))
         rho = DensityMatrix.mixture([(0.5, branch_h), (0.5, branch_v)])
         target = StateVector(space, (branch_h.amps + branch_v.amps) / np.sqrt(2))
         assert abs(fidelity_mixed(rho, target) - 0.5) < 1e-12
@@ -282,7 +281,7 @@ class TestPartialTrace:
         space = HilbertSpace([("a", 2), ("b", 3)])
         psi_a = random_unit_vector(2, rng)
         psi_b = random_unit_vector(3, rng)
-        rho = product_state(space, {"a": psi_a, "b": psi_b}).outer()
+        rho = StateVector(space, np.kron(psi_a, psi_b)).outer()
         reduced = partial_trace(rho, {"a"})
         assert np.max(np.abs(reduced.entries - np.outer(psi_a, psi_a.conj()))) < 1e-12
 
@@ -296,7 +295,7 @@ class TestPartialTrace:
     def test_against_index_summation_oracle(self):
         rng = np.random.default_rng(12)
         space = HilbertSpace([("a", 2), ("b", 2)])
-        rho = random_state(space, rng).outer()
+        rho = StateVector(space, random_unit_vector(space.total_dim, rng)).outer()
         reduced = partial_trace(rho, {"a"})
         assert np.max(np.abs(reduced.entries - partial_trace_oracle(rho.entries, 2, 2))) < 1e-12
 
@@ -304,7 +303,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(13)
         space = HilbertSpace([("a", 2), ("b", 3), ("c", 2)])
         for _ in range(5):
-            rho = random_state(space, rng).outer()
+            rho = StateVector(space, random_unit_vector(space.total_dim, rng)).outer()
             reduced = partial_trace(rho, {"b", "c"})
             assert reduced.space.labels == ("b", "c")
             assert abs(np.trace(reduced.entries) - 1) < 1e-10
@@ -327,12 +326,12 @@ class TestHaarUnitary:
     def test_samples_are_unitary(self):
         rng = np.random.default_rng(15)
         for dim in (2, 3, 5):
-            assert is_unitary(haar_unitary(dim, rng), 1e-10)
+            assert _unitary_deviation(haar_unitary(dim, rng).entries) <= 1e-10
 
     def test_group_closure(self):
         rng = np.random.default_rng(16)
         prod = Operator(haar_unitary(3, rng).entries @ haar_unitary(3, rng).entries)
-        assert is_unitary(prod, 1e-10)
+        assert _unitary_deviation(prod.entries) <= 1e-10
 
     def test_first_entry_moment(self):
         # Haar moment: E|u00|^2 = 1/dim; also check left invariance
@@ -350,11 +349,7 @@ class TestHaarUnitary:
 
 class TestIsUnitary:
     def test_identity(self):
-        assert is_unitary(Operator(np.eye(4)), 1e-10)
+        assert _unitary_deviation(Operator(np.eye(4)).entries) <= 1e-10
 
     def test_diagonal_stretch(self):
-        assert not is_unitary(Operator(np.diag([1.0, 1.0 + 1e-11])), 1e-12)
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            is_unitary(Operator(np.eye(2)), 0.0)
+        assert not _unitary_deviation(Operator(np.diag([1.0, 1.0 + 1e-11])).entries) <= 1e-12

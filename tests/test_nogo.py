@@ -13,14 +13,13 @@ from ctrlsim.nogo import (
     _slot_matrices,
     choi_of_unitary,
     draw_samples,
-    hermitian_from_params,
     optimize,
     oracle_sanity,
     param_count,
     process_fidelity,
     target_unitary,
 )
-from reference import choi_oracle
+from reference import choi_oracle, hermitian_from_params
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -291,6 +290,19 @@ class TestBatchedKernel:
         assert targets.shape == (6, 2 * d, 2 * d)
         for s, got in zip(samples, targets):
             assert np.array_equal(got, target_unitary(kind, s).entries.conj())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
+    def test_samples_are_consecutive_haar_draws(self, kind, d):
+        # the stacked draw gives, bit for bit, one haar_unitary per slot per
+        # sample on the same generator, each binding an Operator
+        samples = draw_samples(kind, d, 5, np.random.default_rng(26))
+        rng = np.random.default_rng(26)
+        for bindings in samples:
+            assert list(bindings) == list(nogo.TASKS[kind][0])
+            for u in bindings.values():
+                assert isinstance(u, Operator)
+                assert u.entries.tobytes() == haar_unitary(d, rng).entries.tobytes()
 
     def test_prepared_targets_pass_one_unitarity_check(self, monkeypatch):
         # one stacked check at DEFAULT_TOL covers every target

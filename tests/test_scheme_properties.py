@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlsim import ion, photonic
-from ctrlsim.hilbert import haar_unitary, random_state
+from ctrlsim.hilbert import StateVector, haar_unitary, random_unit_vector
 
 # few examples, fixed seeds: the properties are checked without moving
 # the suite's run time or making it flaky
@@ -88,7 +88,8 @@ def test_sequence_json_round_trip_is_exact(seq):
 def test_propagate_conserves_norm(net, seed):
     rng = np.random.default_rng(seed)
     bindings = {s: haar_unitary(net.space.internal_dim, rng) for s in net.slots}
-    outcome = photonic.propagate(net, random_state(net.space.hilbert, rng), bindings)
+    psi = StateVector(net.space.hilbert, random_unit_vector(net.space.hilbert.total_dim, rng))
+    outcome = photonic.propagate(net, psi, bindings)
     assert isinstance(outcome, photonic.PureOutcome)
     assert abs(np.linalg.norm(outcome.state.amps) - 1) < 1e-10
 
@@ -99,7 +100,8 @@ def test_run_sequence_conserves_norm(seq, fock, seed):
     rng = np.random.default_rng(seed)
     space = ion.TrapSpace(fock_cutoff=fock)
     bindings = {s: haar_unitary(2, rng) for s in ("U", "Uf", "Ug")}
-    final, trace = ion.run_sequence(seq, random_state(space.hilbert, rng), bindings, space=space)
+    psi = StateVector(space.hilbert, random_unit_vector(space.total_dim, rng))
+    final, trace = ion.run_sequence(seq, psi, bindings, space=space)
     assert len(trace) == len(seq.pulses)
     assert abs(np.linalg.norm(final.amps) - 1) < 1e-10
 
