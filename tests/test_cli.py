@@ -456,6 +456,28 @@ class TestNogoCommand:
         assert not out.exists()
 
 
+# Each size's first large allocation exceeds the 128 TiB user address space,
+# so it fails at once whatever the overcommit setting; the run sizes are the
+# smallest round ones that do (149 TiB), which keeps their vectors small.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--preset", "ion-ctrl-u", "--u", "h", "--fock", "200000"],
+        ["run", "--preset", "ctrl-u", "--u", "h", "--dim", "800000"],
+        ["nogo", "--kind", "ctrl-u", "--dim", "1000000", "--restarts", "1"],
+        ["nogo", "--kind", "switch", "--ancilla", "1000000", "--restarts", "1"],
+        ["nogo", "--kind", "ctrl-u", "--samples", "100000000000000", "--restarts", "1"],
+    ],
+    ids=["fock", "dim", "nogo-dim", "ancilla", "samples"],
+)
+def test_a_size_that_cannot_be_allocated_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 _SCIPY_PROBE = textwrap.dedent(
     """
     import json, sys

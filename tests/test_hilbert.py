@@ -7,6 +7,7 @@ from ctrlsim.hilbert import (
     HilbertSpace,
     Operator,
     StateVector,
+    _RESTRICT_ABOVE,
     _unitary_deviation,
     basis_state,
     fidelity_mixed,
@@ -353,3 +354,60 @@ class TestIsUnitary:
 
     def test_diagonal_stretch(self):
         assert not _unitary_deviation(Operator(np.diag([1.0, 1.0 + 1e-11])).entries) <= 1e-12
+
+    @staticmethod
+    def _dense_deviation(m):
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))))
+
+    @staticmethod
+    def _moved(n, size, rng, scale=1.0):
+        """Identity of size ``n`` with a Haar block, times ``scale``, on
+        ``size`` random indices ``J``; returns the matrix and ``J``."""
+        j = np.sort(rng.choice(n, size, replace=False))
+        m = np.eye(n, dtype=complex)
+        m[np.ix_(j, j)] = scale * haar_unitary(size, rng).entries
+        return m, j
+
+    @pytest.mark.parametrize("n", [_RESTRICT_ABOVE, _RESTRICT_ABOVE + 1, 2 * _RESTRICT_ABOVE])
+    @pytest.mark.parametrize("scale", [1.0, 1.01])
+    def test_restricted_check_agrees_with_the_dense_product(self, n, scale):
+        rng = np.random.default_rng(n)
+        for size in (1, 2, n // 3, n // 2, n):
+            m, _ = self._moved(n, size, rng, scale)
+            assert abs(_unitary_deviation(m) - self._dense_deviation(m)) <= 1e-14
+
+    def test_exact_identity_has_deviation_zero(self):
+        n = 2 * _RESTRICT_ABOVE
+        assert _unitary_deviation(np.eye(n, dtype=complex)) == 0.0
+        assert _unitary_deviation(Operator(np.eye(n)).entries) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("on_diagonal", [True, False])
+    def test_non_finite_entry_outside_the_block_is_rejected(self, bad, on_diagonal):
+        rng = np.random.default_rng(3)
+        n = 2 * _RESTRICT_ABOVE
+        m, j = self._moved(n, 4, rng)
+        a, b = np.setdiff1d(np.arange(n), j)[:2]
+        m[a, a if on_diagonal else b] = bad
+        # inf * 0 in the product warns before the check rejects it
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            Operator(m)
+
+    def test_small_coupling_between_unmoved_indices_is_rejected(self):
+        rng = np.random.default_rng(4)
+        n = 2 * _RESTRICT_ABOVE
+        m, j = self._moved(n, 4, rng)
+        a, b = np.setdiff1d(np.arange(n), j)[:2]
+        m[a, b] = 1e-3
+        assert abs(_unitary_deviation(m) - self._dense_deviation(m)) <= 1e-14
+        with pytest.raises(ValueError, match="deviates"):
+            Operator(m)
+
+    def test_non_unitary_block_is_rejected(self):
+        m, _ = self._moved(2 * _RESTRICT_ABOVE, 6, np.random.default_rng(5), scale=1 + 1e-6)
+        with pytest.raises(ValueError, match="deviates"):
+            Operator(m)
+
+    def test_empty_matrix_is_rejected(self):
+        with pytest.raises(ValueError):
+            Operator(np.zeros((0, 0)))
