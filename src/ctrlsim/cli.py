@@ -64,6 +64,8 @@ def parse_gate_spec(text: str, dim: int = 2) -> Operator:
             theta = float(arg)
         except ValueError:
             raise ValueError(f"malformed angle in gate spec {text!r}") from None
+        if not math.isfinite(theta):
+            raise ValueError(f"angle in gate spec {text!r} must be finite")
         c, s = np.cos(theta / 2), np.sin(theta / 2)
         if name == "rx":
             return Operator([[c, -1j * s], [-1j * s, c]])
@@ -89,7 +91,10 @@ def parse_gate_spec(text: str, dim: int = 2) -> Operator:
             raise ValueError(f"matrix literal needs a positive square entry count, got {len(flat)}")
         m = np.array(flat, dtype=complex).reshape(d, d)
         try:
-            return Operator(m)
+            # an inf or an overflowing entry makes the deviation NaN or
+            # inf, which fails the check; numpy need not warn about it
+            with np.errstate(over="ignore", invalid="ignore"):
+                return Operator(m)
         except ValueError as exc:
             raise ValueError(f"matrix literal is not unitary: {exc}") from None
     raise ValueError(f"unknown gate spec {text!r}")
@@ -147,7 +152,10 @@ def _parse_psi(text: str | None, dim: int) -> np.ndarray:
     psi = np.array(
         [complex(values[2 * k], values[2 * k + 1]) for k in range(dim)], dtype=complex
     )
-    norm = float(np.linalg.norm(psi))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(psi))
+    if not math.isfinite(norm):
+        raise ValueError("--psi entries are too large to normalize")
     if norm == 0:
         raise ValueError("--psi cannot be the zero vector")
     if abs(norm - 1.0) > 1e-12:

@@ -21,9 +21,6 @@ the two structures as table rows, and the unknown operations are always
 ``{slot: Operator}`` bindings, the form the photonic and ion schemes
 take.
 
-Choi convention: unnormalized, output factor first, columns flattened
-in C order; the Choi matrix of a CPTP map on dimension D has trace D.
-
 One kernel, :func:`_objective`, computes the search's fidelities and
 gradient with matmuls alone: the samples are the rows of one state
 matrix, and :func:`_prepare_samples` builds every sample's matrices
@@ -163,19 +160,6 @@ def param_count(kind: str, ancilla_dim: int, system_dim: int) -> int:
     return _n_slots(kind) * (ancilla_dim * 2 * system_dim) ** 2
 
 
-def _oracle_entries(kind: str, bindings, dim: int) -> tuple[np.ndarray, ...]:
-    """Matrices of the inserted slots, in circuit order, each through the
-    schemes' binding check for a system of dimension ``dim``."""
-    return tuple(_slot_binding(bindings, s, dim) for s in TASKS[kind][0])
-
-
-def choi_of_unitary(u: np.ndarray) -> np.ndarray:
-    """Rank-one Choi matrix ``|u>><<u|`` of a matrix; for a unitary, the
-    Choi matrix of its channel."""
-    v = np.reshape(u, -1)
-    return np.outer(v, v.conj())
-
-
 def control_branches(kind: str, bindings) -> tuple[np.ndarray, np.ndarray]:
     """The two control-branch operators of the controlled target, from
     the orders in :data:`TASKS`: ``(1, U)`` for ``ctrl_u`` and
@@ -200,25 +184,6 @@ def _branch_products(kind: str, mats, dim: int) -> tuple[np.ndarray, ...]:
     return tuple(branch(order) for order in TASKS[kind][1])
 
 
-def target_unitary(kind: str, bindings) -> Operator:
-    """Controlled operation on (control, system) the circuit should
-    reproduce: :func:`control_branches` as diagonal blocks."""
-    first, second = control_branches(kind, bindings)
-    zero = np.zeros(first.shape)
-    return Operator(np.block([[first, zero], [zero, second]]))
-
-
-def process_fidelity(choi: np.ndarray, target: Operator) -> float:
-    """Normalized Choi overlap with a target unitary channel.
-
-    Equals ``|Tr(V^dag K)|^2 / D^2`` summed over Kraus terms; it is 1
-    iff the channel is exactly the target unitary.
-    """
-    v = target.entries.reshape(-1)
-    d2 = target.dim ** 2
-    return float(np.real(v.conj() @ choi @ v)) / d2
-
-
 def draw_samples(kind: str, system_dim: int, count: int, rng: np.random.Generator):
     """Haar sample set standing in for the unknown operations: ``count``
     bindings of the kind's slots, drawn in slot order from one stacked
@@ -233,19 +198,20 @@ def draw_samples(kind: str, system_dim: int, count: int, rng: np.random.Generato
 
 def _prepare_samples(kind: str, dim: int, samples):
     """Hoist the sample-dependent matrices out of the search loop; every
-    binding passes the slot check here, once per search.
+    binding passes the schemes' slot check here, once per search.
 
     Returns the bound slots stacked as ``(S, n_insertions, d, d)`` in
-    insertion order and the conjugated targets ``(S, cs, cs)``.  The
-    targets are built for all samples at once, from the same branch
-    products as :func:`control_branches`, stacked: each branch is
-    written into its diagonal block of one zeroed array, and the whole
-    stack passes one unitarity check at ``DEFAULT_TOL``.
+    insertion order and the conjugated controlled targets ``(S, cs,
+    cs)``, the only place the target matrix is assembled.  The targets
+    are built for all samples at once, from the same branch products as
+    :func:`control_branches`, stacked: each branch is written into its
+    diagonal block of one zeroed array, and the whole stack passes one
+    unitarity check at ``DEFAULT_TOL``.
     """
     if not samples:
         raise ValueError("sample set must be non-empty")
     slots = TASKS[kind][0]
-    oracles = np.stack([np.stack(_oracle_entries(kind, s, dim)) for s in samples])
+    oracles = np.array([[_slot_binding(s, slot, dim) for slot in slots] for s in samples])
     by_slot = {s: oracles[:, k] for k, s in enumerate(slots)}
     targets = np.zeros((len(oracles), 2 * dim, 2 * dim), dtype=np.complex128)
     for c, branch in enumerate(_branch_products(kind, by_slot, dim)):
@@ -261,10 +227,10 @@ def _objective(kind: str, ancilla_dim: int, system_dim: int, x, prepared):
     gradient, fidelities)``.
 
     ``fidelities`` are the per-sample process fidelities of the realized
-    channel against :func:`target_unitary`, which ``tests/reference.py``
-    recomputes from a basis-enumeration Choi matrix; ``softmin`` smooths
-    their minimum at temperature ``_SOFTMIN_BETA`` and ``gradient`` is
-    its exact gradient in ``x``.
+    channel against the targets of :func:`_prepare_samples`, which
+    ``tests/reference.py`` recomputes from a basis-enumeration Choi
+    matrix; ``softmin`` smooths their minimum at temperature
+    ``_SOFTMIN_BETA`` and ``gradient`` is its exact gradient in ``x``.
 
     Every contraction is a matmul.  Only the ancilla-|0> columns are
     propagated, for all samples at once, as the rows of one
@@ -467,10 +433,13 @@ def _logical_block(scheme, bindings) -> np.ndarray:
 
 
 def _scheme_fidelity(kind: str, scheme, bindings) -> float:
-    """Process fidelity of a scheme's logical block against
-    :func:`target_unitary`, with its slots bound to ``bindings``."""
-    choi = choi_of_unitary(_logical_block(scheme, bindings))
-    return process_fidelity(choi, target_unitary(kind, bindings))
+    """Process fidelity of a scheme's logical block ``B``, with its slots
+    bound to ``bindings``, against the controlled target ``T`` of
+    :func:`_prepare_samples`: the kernel's overlap ``|Tr(T^dag B)|^2 /
+    D^2``, which is 1 iff ``B`` is ``T`` up to a global phase."""
+    block = _logical_block(scheme, bindings)
+    _, (target_conj,) = _prepare_samples(kind, len(block) // 2, (bindings,))
+    return float(abs(np.sum(target_conj * block)) ** 2 / block.size)
 
 
 def oracle_sanity(sample_count: int = 32, internal_dim: int = 2, seed: int = 1234) -> float:

@@ -1,18 +1,24 @@
-"""Independent reference for the search kernel ``nogo._objective``.
+"""Independent reference for the search kernel ``nogo._objective`` and
+the scheme scorer ``nogo._scheme_fidelity``.
 
 The fixed circuit is composed one sample at a time: each slot gate is
 scipy's ``expm(1j * H)`` of its generator, each unknown is inserted as
 ``1_ac x U`` in the order of ``nogo.TASKS``, and the Choi matrix comes
-from evolving every matrix unit with the ancilla attached.  Nothing here
-calls the kernel's own helpers (``_generator_maps``, ``_slot_matrices``,
-``_oracle_entries``, ``_prepare_samples``), so agreement with them is a
-real check.
+from evolving every matrix unit with the ancilla attached.  The
+controlled target is written out from the paper's ``1 (+) U`` and
+``Ug Uf (+) Uf Ug``, and a channel is scored by its Choi overlap with
+it.  Nothing here calls the kernel's own helpers (``_generator_maps``,
+``_slot_matrices``, ``_prepare_samples``, ``_branch_products``) or a
+``nogo`` scorer, so agreement with them is a real check.
+
+Choi convention: unnormalized, output factor first, columns flattened
+in C order; the Choi matrix of a CPTP map on dimension D has trace D.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from ctrlsim.nogo import TASKS
+from ctrlsim.nogo import CTRL_U, SWITCH, TASKS
 
 
 def hermitian_from_params(vec, dim):
@@ -69,3 +75,33 @@ def choi_oracle(kind, ancilla_dim, system_dim, x, bindings):
                 reduced += rho_out[m * cs : (m + 1) * cs, m * cs : (m + 1) * cs]
             j += np.kron(reduced, unit)
     return j
+
+
+def choi_of_unitary(u):
+    """Rank-one Choi matrix ``|u>><<u|`` of a matrix; for a unitary, the
+    Choi matrix of its channel."""
+    v = np.reshape(u, -1)
+    return np.outer(v, v.conj())
+
+
+def target_unitary(kind, bindings):
+    """The controlled target on (control, system): ``1 (+) U`` for
+    ``ctrl_u`` and ``Ug Uf (+) Uf Ug`` for ``switch``."""
+    if kind == CTRL_U:
+        u = bindings["U"].entries
+        first, second = np.eye(len(u)), u
+    elif kind == SWITCH:
+        uf, ug = bindings["Uf"].entries, bindings["Ug"].entries
+        first, second = ug @ uf, uf @ ug
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    zero = np.zeros(first.shape)
+    return np.block([[first, zero], [zero, second]])
+
+
+def process_fidelity(choi, target):
+    """Normalized Choi overlap ``<<T|J|T>> / D^2`` with a target unitary
+    matrix ``T``: ``|Tr(T^dag K)|^2 / D^2`` summed over the Kraus terms
+    ``K`` of the channel, 1 iff the channel is exactly ``T``'s."""
+    v = np.reshape(target, -1)
+    return float(np.real(v.conj() @ choi @ v)) / len(target) ** 2

@@ -15,6 +15,7 @@ from ctrlsim.hilbert import _unitary_deviation
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 # U^dag U - 1 is about 1e-9, ten times the one unitarity tolerance
 NEAR_UNITARY = "matrix:[[1,0],[0,0],[0,0],[1.0000000005,0]]"
+NOT_UNITARY = "slot 'U': matrix literal is not unitary"
 
 
 def run_cli(*argv):
@@ -186,6 +187,29 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--u", "matrix:[[Infinity,0],[0,0],[0,0],[1,0]]"], NOT_UNITARY),
+            (["--u", "matrix:[[1e200,0],[0,0],[0,0],[1,0]]"], NOT_UNITARY),
+            (["--u", "rx:inf"], "slot 'U': angle in gate spec 'rx:inf' must be finite"),
+            (["--u", "ry:-inf"], "slot 'U': angle in gate spec 'ry:-inf' must be finite"),
+            (["--u", "rz:nan"], "slot 'U': angle in gate spec 'rz:nan' must be finite"),
+            (["--u", "x", "--psi=1e200,0,0,0"], "--psi entries are too large to normalize"),
+        ],
+        ids=["inf-literal", "overflowing-literal", "rx-inf", "ry-minus-inf", "rz-nan", "huge-psi"],
+    )
+    def test_a_non_finite_or_overflowing_value_exits_2_without_warnings(
+        self, tmp_path, capsys, argv, error
+    ):
+        # the suite turns numpy's RuntimeWarnings into errors, so a warning
+        # on the way to the error would escape main
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--preset", "ctrl-u", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {error}")
         assert not out.exists()
 
     @pytest.mark.parametrize("preset", ["ctrl-u", "ion-ctrl-u"])

@@ -1,8 +1,10 @@
 """Property tests of the ``ctrlsim run`` exit-code contract.
 
-Whatever the scheme or sequence file and the float flags hold, ``run``
-exits 0, 1 or 2 and never lets an exception escape.  Exit 2 leaves no
-report; exit 1 only comes with a finite fidelity in the report.
+Whatever the scheme or sequence file, the float flags, the ``--psi``
+entries and a rotation's angle hold, ``run`` exits 0, 1 or 2 and never
+lets an exception escape; the suite turns numpy warnings into errors,
+so none may be printed on the way.  Exit 2 leaves no report; exit 1
+only comes with a finite fidelity in the report.
 """
 
 import copy
@@ -105,15 +107,26 @@ def test_mutated_emitted_files(data):
     _check_run([source], json.dumps(doc))
 
 
+FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
 @FUZZ
 @given(
     preset=st.sampled_from(["ctrl-u", "ctrl-u-monitored", "ctrl-switch", "ion-ctrl-u", "ion-ctrl-switch"]),
-    floats=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=4, max_size=4),
+    floats=st.lists(FLOAT, min_size=4, max_size=4),
+    psi=st.lists(FLOAT, min_size=4, max_size=4),
+    rotation=st.sampled_from(["rx", "ry", "rz"]),
+    angle=FLOAT,
 )
-def test_float_flags(preset, floats):
+def test_float_flags(preset, floats, psi, rotation, angle):
+    # every preset has a qubit system at the default size, so four --psi
+    # entries; the rotation binds U and Uf, a slot of every preset
     names = ("--alpha", "--beta", "--beta-phase", "--tolerance")
     flags = [f"{name}={value!r}" for name, value in zip(names, floats)]
+    flags += [f"--psi={','.join(map(repr, psi))}"]
+    gate = f"{rotation}:{angle!r}"
+    bind = ["--u", gate, "--uf", gate, "--ug", "haar:3"]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
-        code = main(["run", "--preset", preset, *BIND, *flags, "--out", out])
+        code = main(["run", "--preset", preset, *bind, *flags, "--out", out])
         _check_outcome(code, out)

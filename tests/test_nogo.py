@@ -11,15 +11,18 @@ from ctrlsim.nogo import (
     _objective,
     _prepare_samples,
     _slot_matrices,
-    choi_of_unitary,
     draw_samples,
     optimize,
     oracle_sanity,
     param_count,
+)
+from reference import (
+    choi_of_unitary,
+    choi_oracle,
+    hermitian_from_params,
     process_fidelity,
     target_unitary,
 )
-from reference import choi_oracle, hermitian_from_params
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -27,6 +30,12 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 def kernel_fidelities(kind, a, d, x, samples):
     """Per-sample fidelities of the search kernel."""
     return _objective(kind, a, d, x, _prepare_samples(kind, d, samples))[2]
+
+
+def prepared_target(kind, bindings):
+    """The controlled target ``_prepare_samples`` builds for one sample."""
+    dim = next(iter(bindings.values())).dim
+    return _prepare_samples(kind, dim, (bindings,))[1][0].conj()
 
 
 def reference_fidelity(kind, a, d, x, bindings):
@@ -123,7 +132,7 @@ class TestRealizedChannel:
         for _ in range(4):
             v = haar_unitary(4, rng)
             fid = _objective(kind, 2, 2, x, (oracles, v.entries.conj()[None]))[2]
-            assert abs(fid[0] - process_fidelity(choi, v)) < 1e-13
+            assert abs(fid[0] - process_fidelity(choi, v.entries)) < 1e-13
 
     def test_oracle_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -135,27 +144,33 @@ class TestRealizedChannel:
 
 
 class TestTargetUnitary:
+    """The controlled target ``_prepare_samples`` assembles, against
+    ``1 (+) U`` and ``Ug Uf (+) Uf Ug`` written out here and in the
+    reference."""
+
     def test_ctrl_x(self):
-        t = target_unitary(CTRL_U, {"U": Operator(X)})
+        t = prepared_target(CTRL_U, {"U": Operator(X)})
         want = np.eye(4, dtype=complex)
         want[2:, 2:] = X
-        assert np.array_equal(t.entries, want)
+        assert np.array_equal(t, want)
+        assert np.array_equal(target_unitary(CTRL_U, {"U": Operator(X)}), want)
 
     def test_equal_pulses_make_control_independent_blocks(self):
         rng = np.random.default_rng(5)
         u = haar_unitary(2, rng)
-        t = target_unitary(SWITCH, {"Uf": u, "Ug": u})
-        assert np.max(np.abs(t.entries - np.kron(np.eye(2), u.entries @ u.entries))) < 1e-12
+        t = prepared_target(SWITCH, {"Uf": u, "Ug": u})
+        assert np.max(np.abs(t - np.kron(np.eye(2), u.entries @ u.entries))) < 1e-12
 
     def test_haar_pair_against_block_assembly(self):
         rng = np.random.default_rng(6)
         uf, ug = haar_unitary(2, rng), haar_unitary(2, rng)
-        t = target_unitary(SWITCH, {"Uf": uf, "Ug": ug})
+        t = prepared_target(SWITCH, {"Uf": uf, "Ug": ug})
         top = ug.entries @ uf.entries
         bottom = uf.entries @ ug.entries
-        assert np.max(np.abs(t.entries[:2, :2] - top)) < 1e-12
-        assert np.max(np.abs(t.entries[2:, 2:] - bottom)) < 1e-12
-        assert np.max(np.abs(t.entries[:2, 2:])) == 0.0
+        assert np.max(np.abs(t[:2, :2] - top)) < 1e-12
+        assert np.max(np.abs(t[2:, 2:] - bottom)) < 1e-12
+        assert np.max(np.abs(t[:2, 2:])) == 0.0
+        assert np.max(np.abs(t[2:, :2])) == 0.0
 
     def test_control_branches(self):
         rng = np.random.default_rng(7)
@@ -171,7 +186,7 @@ class TestProcessFidelity:
     def test_unitary_channel_self_fidelity(self):
         rng = np.random.default_rng(7)
         u = haar_unitary(4, rng)
-        assert abs(process_fidelity(choi_of_unitary(u.entries), u) - 1) < 1e-12
+        assert abs(process_fidelity(choi_of_unitary(u.entries), u.entries) - 1) < 1e-12
 
     def test_wire_insertion_vs_ctrl_x_quarter(self):
         # |Tr((ctrl-X)^dag (1 (x) X))|^2 / 16 = 0.25
@@ -284,12 +299,12 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_prepared_targets_are_the_target_unitaries(self, kind, d):
-        # all samples' targets at once are exactly target_unitary's, conjugated
+        # all samples' targets at once are exactly the reference's, conjugated
         _, samples, (oracles, targets) = random_problem(kind, 1, d, 6, 22)
         assert oracles.shape == (6, len(nogo.TASKS[kind][0]), d, d)
         assert targets.shape == (6, 2 * d, 2 * d)
         for s, got in zip(samples, targets):
-            assert np.array_equal(got, target_unitary(kind, s).entries.conj())
+            assert np.array_equal(got, target_unitary(kind, s).conj())
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
@@ -476,10 +491,23 @@ class TestOracleSanity:
         rng = np.random.default_rng(31)
         uf, ug = haar_unitary(3, rng), haar_unitary(3, rng)
         block = nogo._logical_block(photonic.preset_ctrl_switch(3), {"Uf": uf, "Ug": ug})
-        assert np.max(np.abs(block - target_unitary(SWITCH, {"Uf": uf, "Ug": ug}).entries)) < 1e-12
+        assert np.max(np.abs(block - target_unitary(SWITCH, {"Uf": uf, "Ug": ug}))) < 1e-12
         u = haar_unitary(2, rng)
         block = nogo._logical_block(ion.seq_ctrl_u(), {"U": u})
-        assert np.max(np.abs(block - target_unitary(CTRL_U, {"U": u}).entries)) < 1e-12
+        assert np.max(np.abs(block - target_unitary(CTRL_U, {"U": u}))) < 1e-12
+
+    @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scheme_fidelity_is_the_reference_choi_score(self, kind, d, monkeypatch):
+        # on any unitary block, not only the target, the overlap is the
+        # reference's Choi score against its own written-out target; the
+        # "scheme" here is the block itself
+        monkeypatch.setattr(nogo, "_logical_block", lambda scheme, bindings: scheme)
+        rng = np.random.default_rng(35)
+        for bindings in draw_samples(kind, d, 4, rng):
+            block = haar_unitary(2 * d, rng).entries
+            want = process_fidelity(choi_of_unitary(block), target_unitary(kind, bindings))
+            assert abs(nogo._scheme_fidelity(kind, block, bindings) - want) < 1e-15
 
     def test_miswired_schemes_score_below_one(self):
         # the device on the H arm realizes U (+) 1; an ion sequence without
