@@ -124,18 +124,42 @@ def _write(text: str, out_path: str | None) -> None:
         raise
 
 
+def _normalized(amps, zero: str, too_large: str, what: str) -> np.ndarray:
+    """``amps`` over its norm, each real and imaginary part divided as a
+    float; the norm goes to stderr when it is not 1.
+
+    The parts are first scaled by the power of two of the largest
+    ``|part|``, which is exact, so entries whose squares underflow still
+    normalize, and the norm is otherwise bit for bit the unscaled one.
+    An all-zero vector raises ``zero``, and one whose squared norm
+    overflows a float raises ``too_large``.
+    """
+    amps = np.asarray(amps, dtype=np.complex128)
+    parts = amps.view(np.float64)
+    peak = float(np.abs(parts).max())
+    if peak == 0:
+        raise ValueError(zero)
+    shift = math.frexp(peak)[1]
+    parts = np.ldexp(parts, -shift)
+    scaled_norm = float(np.linalg.norm(parts.view(np.complex128)))
+    if math.log2(scaled_norm) + shift >= 512:
+        raise ValueError(too_large)
+    norm = math.ldexp(scaled_norm, shift)
+    if abs(norm - 1.0) <= 1e-12:
+        return amps
+    print(f"warning: normalizing {what} by 1/{norm:.6g}", file=sys.stderr)
+    return (parts / scaled_norm).view(np.complex128)
+
+
 def _control_amps(args) -> tuple[complex, complex]:
     alpha = complex(args.alpha)
     beta = complex(args.beta) * np.exp(1j * args.beta_phase)
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(np.float64(abs(alpha)) ** 2 + abs(beta) ** 2)
-    if not math.isfinite(norm):
-        raise ValueError("alpha and beta are too large to normalize")
-    if norm == 0:
-        raise ValueError("alpha and beta cannot both be zero")
-    if abs(norm - 1.0) > 1e-12:
-        print(f"warning: normalizing control amplitudes by 1/{norm:.6g}", file=sys.stderr)
-        alpha, beta = alpha / norm, beta / norm
+    alpha, beta = _normalized(
+        [alpha, beta],
+        "alpha and beta cannot both be zero",
+        "alpha and beta are too large to normalize",
+        "control amplitudes",
+    )
     return alpha, beta
 
 
@@ -152,16 +176,12 @@ def _parse_psi(text: str | None, dim: int) -> np.ndarray:
     psi = np.array(
         [complex(values[2 * k], values[2 * k + 1]) for k in range(dim)], dtype=complex
     )
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(psi))
-    if not math.isfinite(norm):
-        raise ValueError("--psi entries are too large to normalize")
-    if norm == 0:
-        raise ValueError("--psi cannot be the zero vector")
-    if abs(norm - 1.0) > 1e-12:
-        print(f"warning: normalizing system state by 1/{norm:.6g}", file=sys.stderr)
-        psi = psi / norm
-    return psi
+    return _normalized(
+        psi,
+        "--psi cannot be the zero vector",
+        "--psi entries are too large to normalize",
+        "system state",
+    )
 
 
 def _collect_bindings(args, slots, dim: int) -> tuple[dict[str, str], dict[str, Operator]]:

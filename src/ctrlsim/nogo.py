@@ -27,14 +27,19 @@ matrix, and :func:`_prepare_samples` builds every sample's matrices
 once per search.  ``tests/reference.py`` composes the same circuit one
 sample at a time with scipy's ``expm`` and is the independent check on
 it.
-scipy is imported inside :func:`minimize` on its first call, so
-importing this module, and every ``ctrlsim run`` and ``emit-scheme``,
-needs numpy alone.
+
+Each restart maximizes the softmin with :func:`minimize`, a numpy port
+of L-BFGS-B's unconstrained iteration at scipy's default settings,
+with the Moré-Thuente line search that L-BFGS-B uses.  The package
+needs numpy alone: scipy is imported only by :func:`expm`, which
+nothing in the package calls, and by the tests, which check the kernel
+and :func:`minimize` against it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial, reduce
 
@@ -66,6 +71,20 @@ TASKS = {
 # minimum of S samples, and its gradient weights the samples near it.
 _SOFTMIN_BETA = 30.0
 
+# L-BFGS at the defaults of scipy's L-BFGS-B, as constants: the memory,
+# the line search's sufficient-decrease, curvature and interval
+# tolerances, its evaluation cap and largest step, the two convergence
+# tests (projected-gradient tolerance, and factr = 1e7 times the machine
+# epsilon on the relative decrease) and the run's evaluation cap.
+_LBFGS_MEMORY = 10
+_LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
+_LS_MAX_EVALS = 20
+_LS_STPMAX = 1e10
+_PGTOL = 1e-5
+_MAX_FEVALS = 15000
+_EPS = float(np.finfo(float).eps)
+_REL_DECREASE = 1e7 * _EPS
+
 
 def expm(a: np.ndarray) -> np.ndarray:
     """scipy's ``expm``, imported on the first call.
@@ -79,12 +98,211 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def minimize(*args, **kwargs):
-    """scipy's ``minimize``, imported on the first call and called
-    through the module global, so it can be wrapped by name."""
-    from scipy.optimize import minimize as scipy_minimize
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """One safeguarded step of the Moré-Thuente line search, MINPACK-2's
+    ``dcstep``: from the best step ``stx``, the other end ``sty`` of the
+    interval and the trial ``stp`` (values ``f`` and slopes ``d`` at
+    each), the updated ``(stx, fx, dx, sty, fy, dy)``, the next trial
+    step, kept in ``[stpmin, stpmax]`` when nothing is bracketed, and
+    whether a minimizer is bracketed.
 
-    return scipy_minimize(*args, **kwargs)
+    The four cases are the paper's (Moré & Thuente, ACM TOMS 20, 1994):
+    a higher value; slopes of opposite sign; a slope of the same sign
+    and smaller magnitude; and one whose magnitude does not decrease.
+    ``max(0, .)`` under the square roots only keeps rounding from taking
+    the square root of a negative number.
+    """
+    opposite = (dp < 0 < dx) or (dx < 0 < dp)
+
+    def gamma_of(theta, da, db):
+        s = max(abs(theta), abs(da), abs(db))
+        return s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
+
+    if fp > fx:
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = gamma_of(theta, dx, dp) * (-1.0 if stp < stx else 1.0)
+        stpc = stx + ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp) * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = gamma_of(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
+        stpc = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx) * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = gamma_of(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stpmax if stp > stx else stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            bound = stp + 0.66 * (sty - stp)
+            stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(max(stpf, stpmin), stpmax)
+    elif brackt:
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        gamma = gamma_of(theta, dy, dp) * (-1.0 if stp > sty else 1.0)
+        stpf = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy) * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _line_search(phi, f0, g0, stp):
+    """Moré-Thuente line search, MINPACK-2's ``dcsrch`` as L-BFGS-B runs
+    it: ``stpmin = 0``, ``stpmax = _LS_STPMAX`` and the tolerances
+    ``_LS_FTOL``, ``_LS_GTOL``, ``_LS_XTOL``.
+
+    ``phi(t)`` returns ``(value, slope, payload)`` along the search line,
+    whose value and slope at 0 are ``f0`` and ``g0 < 0``; ``stp`` is the
+    first trial step.  Returns ``(step, payload)`` of the last
+    evaluation once it meets the strong Wolfe conditions, or once the
+    bracket cannot shrink further (dcsrch's warnings, which L-BFGS-B
+    accepts too), and None if neither happens within ``_LS_MAX_EVALS``
+    evaluations.
+    """
+    gtest = _LS_FTOL * g0
+    width, width1 = _LS_STPMAX, 2.0 * _LS_STPMAX
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = g0
+    stmin, stmax = 0.0, stp + 4.0 * stp
+    brackt, stage1 = False, True
+    for _ in range(_LS_MAX_EVALS):
+        f, g, payload = phi(stp)
+        ftest = f0 + stp * gtest
+        if stage1 and f <= ftest and g >= 0:
+            stage1 = False
+        if (
+            (brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax))
+            or (stp == _LS_STPMAX and f <= ftest and g <= gtest)
+            or (stp == 0.0 and (f > ftest or g >= gtest))
+            or (f <= ftest and abs(g) <= _LS_GTOL * -g0)
+        ):
+            return stp, payload
+        if stage1 and fx >= f > ftest:
+            # step on psi(t) = phi(t) - phi(0) - ftol t phi'(0), the
+            # function whose minimizer the interval holds in stage 1
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
+                stp, f - stp * gtest, g - gtest, brackt, stmin, stmax,
+            )
+            fx, fy = fxm + stx * gtest, fym + sty * gtest
+            gx, gy = gxm + gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
+            )
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), _LS_STPMAX)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax):
+            stp = stx  # no further progress: evaluate the best step again
+    return None
+
+
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """``-H g`` by the two-loop recursion over the stored ``(s, y, 1 / s.y)``
+    pairs, oldest first, with ``H0 = (s.y / y.y) I`` from the newest."""
+    q = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y, rho = pairs[-1]
+        q /= rho * (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
+def minimize(fun, x0: np.ndarray, max_iters: int):
+    """Minimize ``fun`` from ``x0`` by L-BFGS, the unconstrained iteration
+    of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) at scipy's defaults.
+
+    ``fun(x)`` returns ``(value, gradient, *extra)``.  The direction is
+    ``-H g`` from the last ``_LBFGS_MEMORY`` pairs; the first line search
+    starts at step ``1 / |d|``, later ones at 1.  A pair whose ``s.y`` is
+    not above ``eps * (-g.s)`` is not stored.  A failed line search
+    restarts from the last point with an empty memory, or ends the run
+    when the memory is already empty.  The run converges when ``max|g|
+    <= _PGTOL`` or the relative decrease of an iteration is at most
+    ``_REL_DECREASE``, and stops unconverged after ``max_iters``
+    iterations.
+
+    Returns ``(x, evaluation, iterations, fevals, converged)``, where
+    ``evaluation`` is ``fun``'s return at the point ``x`` it ends on, so
+    that point is never evaluated twice.
+    """
+    fevals, last = 0, None
+
+    def evaluate(x):
+        # a point equal to the last one reuses its evaluation, as scipy's
+        # wrapper does, so the counts agree with L-BFGS-B's
+        nonlocal fevals, last
+        if last is None or not np.array_equal(x, last[0]):
+            fevals += 1
+            last = x, fun(x)
+        return last[1]
+
+    x = np.array(x0, dtype=float)
+    now = evaluate(x)
+    if np.max(np.abs(now[1])) <= _PGTOL:
+        return x, now, 0, fevals, True
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    iterations = 0
+    while True:
+        f, g = now[0], now[1]
+        d = _lbfgs_direction(g, pairs)
+        slope = g @ d
+        step = min(1.0 / np.linalg.norm(d), _LS_STPMAX) if iterations == 0 else 1.0
+
+        def along(t, x=x, d=d):
+            point = x + t * d
+            out = evaluate(point)
+            return out[0], out[1] @ d, (point, out)
+
+        found = _line_search(along, f, slope, step) if slope < 0 else None
+        if found is None:
+            if not pairs:
+                return x, now, iterations, fevals, False
+            pairs.clear()
+            continue
+        step, (x, now) = found
+        iterations += 1
+        if iterations >= max_iters or fevals > _MAX_FEVALS:
+            return x, now, iterations, fevals, False
+        if np.max(np.abs(now[1])) <= _PGTOL:
+            return x, now, iterations, fevals, True
+        if f - now[0] <= _REL_DECREASE * max(abs(f), abs(now[0]), 1.0):
+            return x, now, iterations, fevals, True
+        s, y = step * d, now[1] - g
+        sy = s @ y
+        if sy > _EPS * -(step * slope):
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-_LBFGS_MEMORY]
 
 
 def _check_kind(kind: str) -> str:
@@ -344,11 +562,12 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
     supplied as any iterable, e.g. a known oracle or a phase-closed set).
     Restart 0 starts from zero parameters (identity slots); later
     restarts start from random Gaussian parameters.  Each restart is one
-    scipy L-BFGS-B run on :func:`_objective`, the softmin over samples
-    with its exact gradient; its reported value is the true minimum over
-    samples at the point L-BFGS-B returns, and its iteration and
-    evaluation counts and convergence flag are scipy's.  Non-convergence
-    is reported per restart, never raised.  The report's
+    :func:`minimize` run on :func:`_objective`, the softmin over samples
+    with its exact gradient, of at most ``config.max_iters`` iterations.
+    Its reported value is the true minimum over samples at the point the
+    run ends on, read from the evaluation there, and its iteration and
+    evaluation counts and convergence flag are the run's.
+    Non-convergence is reported per restart, never raised.  The report's
     ``config.sample_count`` is the number of samples scored, also when
     they are supplied.
     """
@@ -361,24 +580,22 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
     prepared = _prepare_samples(kind, d, samples)
     config = replace(config, sample_count=len(samples))
 
-    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
-        softmin, grad, _ = _objective(kind, a, d, x, prepared)
-        return -softmin, -grad
+    def negated(x: np.ndarray):
+        softmin, grad, fid = _objective(kind, a, d, x, prepared)
+        return -softmin, -grad, fid
 
     results: list[RestartResult] = []
     for r in range(config.restarts):
         rng = np.random.default_rng((config.seed, r))
         x0 = np.zeros(n) if r == 0 else rng.normal(0.0, 0.7, size=n)
-        res = minimize(
-            negated, x0, jac=True, method="L-BFGS-B", options={"maxiter": config.max_iters}
-        )
+        _, (_, _, fid), iterations, fevals, converged = minimize(negated, x0, config.max_iters)
         results.append(
             RestartResult(
                 seed=(config.seed, r),
-                value=float(_objective(kind, a, d, res.x, prepared)[2].min()),
-                iterations=int(res.nit),
-                fevals=int(res.nfev),
-                converged=bool(res.success),
+                value=float(fid.min()),
+                iterations=iterations,
+                fevals=fevals,
+                converged=converged,
             )
         )
 

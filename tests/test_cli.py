@@ -170,6 +170,23 @@ class TestRunCommand:
         report = read_report(out)
         assert abs(report["input"]["alpha"][0] - 0.6) < 1e-12
 
+    @pytest.mark.parametrize(
+        "flags, field, normalized",
+        [
+            (["--psi=1e-170,0,0,0"], "psi", [[1.0, 0.0], [0.0, 0.0]]),
+            (["--psi=5e-324,0,0,-5e-324"], "psi", [[2**-0.5, 0.0], [0.0, -(2**-0.5)]]),
+            (["--alpha", "1e-170", "--beta", "0"], "alpha", [1.0, 0.0]),
+            (["--alpha", "5e-324", "--beta", "5e-324"], "beta", [2**-0.5, 0.0]),
+        ],
+        ids=["psi", "subnormal-psi", "alpha", "subnormal-control"],
+    )
+    def test_a_tiny_nonzero_vector_normalizes(self, tmp_path, capsys, flags, field, normalized):
+        # the squares of these entries underflow to zero
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--preset", "ctrl-u", "--u", "x", *flags, "--out", str(out)) == 0
+        assert "warning: normalizing" in capsys.readouterr().err
+        np.testing.assert_allclose(read_report(out)["input"][field], normalized, atol=1e-15)
+
     def test_bad_gate_spec_exits_2_without_partial_report(self, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli("run", "--preset", "ctrl-u", "--u", "frob", "--out", str(out))
@@ -517,16 +534,15 @@ _SCIPY_PROBE = textwrap.dedent(
         codes.append(main(["emit-scheme", "--preset", preset, "--out", preset + ".json"]))
         source = "--sequence" if preset.startswith("ion") else "--scheme"
         codes.append(main(["run", source, preset + ".json", *binds, "--out", preset + ".file"]))
-    after_run = scipy_loaded()
     codes.append(main(["nogo", "--kind", "switch", "--restarts", "1", "--samples", "2",
                        "--max-iters", "5", "--out", "nogo.json"]))
-    print(json.dumps({"codes": codes, "after_run": after_run, "after_nogo": scipy_loaded()}))
+    print(json.dumps({"codes": codes, "loaded": scipy_loaded()}))
     """
 )
 
 
-def test_only_the_search_loads_scipy(tmp_path):
-    # run and emit-scheme need numpy alone; scipy loads with the first search
+def test_no_command_loads_scipy(tmp_path):
+    # run, emit-scheme and the search need numpy alone; scipy is for the tests
     src = os.path.dirname(os.path.dirname(os.path.abspath(ctrlsim.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -536,8 +552,7 @@ def test_only_the_search_loads_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe["codes"] == [0] * (3 * len(PRESETS) + 1)
-    assert probe["after_run"] == []
-    assert "scipy.optimize" in probe["after_nogo"]
+    assert probe["loaded"] == []
 
 
 class TestOneParser:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import minimize as scipy_minimize, rosen, rosen_der
 
 from ctrlsim import ion, nogo, photonic
 from ctrlsim.hilbert import Operator, haar_unitary
@@ -374,11 +375,10 @@ class TestOptimize:
             "restarts", "max_iters", "sample_count", "seed", "system_dim", "ancilla_dim"
         }
 
-    # Per-restart (converged, value) of this config.  The iteration and
-    # evaluation counts are left out: they follow scipy's line search.
+    # Per-restart (converged, iterations, evaluations, value) of this config.
     PIN = {
-        CTRL_U: [(True, 0.5216220793223406), (False, 0.9320381753496515)],
-        SWITCH: [(True, 0.9804539577278182), (False, 0.9974200463622863)],
+        CTRL_U: [(True, 11, 15, 0.5216220793223398), (False, 60, 65, 0.932038174469314)],
+        SWITCH: [(True, 42, 51, 0.9804539577277657), (False, 60, 63, 0.9974200463627775)],
     }
 
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
@@ -386,8 +386,8 @@ class TestOptimize:
         cfg = SearchConfig(restarts=2, max_iters=60, sample_count=3, seed=5)
         rep = optimize(kind, cfg)
         assert len(rep.restarts) == len(self.PIN[kind])
-        for got, (converged, value) in zip(rep.restarts, self.PIN[kind]):
-            assert got.converged == converged
+        for got, (converged, iterations, fevals, value) in zip(rep.restarts, self.PIN[kind]):
+            assert (got.converged, got.iterations, got.fevals) == (converged, iterations, fevals)
             assert abs(got.value - value) < 1e-6
 
     def test_report_counts_the_samples_it_scored(self):
@@ -458,6 +458,158 @@ class TestOptimize:
         rep = optimize(CTRL_U, cfg, samples=samples)
         assert all(r.converged for r in rep.restarts)
         assert rep.best_worst_case_fidelity <= 0.5 + 1e-9
+
+
+def _wrong_gradient(x):
+    # the gradient of sum(x^4) with one component scaled by -0.2: a failed
+    # line search empties the memory, the next one fails too and ends the run
+    return float(np.sum(x**4)), 4 * x**3 * np.array([1.0, 1.0, 1.0, -0.2])
+
+
+def _rotated_gradient(x):
+    # a rotated gradient: one failed line search, then the evaluation cap
+    return float(x @ x), 2 * np.array([x[1], -x[0]]) + 0.5 * x
+
+
+def _cusps(x):
+    # sum(sqrt|x|): pairs with s.y too small to store, then two failed
+    # line searches
+    return float(np.sum(np.sqrt(np.abs(x)))), 0.5 * np.sign(x) / np.sqrt(np.abs(x) + 1e-300)
+
+
+def _styblinski_tang(x):
+    return 0.5 * np.sum(x**4 - 16 * x**2 + 5 * x), 0.5 * (4 * x**3 - 32 * x + 5)
+
+
+def _rastrigin(x):
+    return (
+        10 * len(x) + np.sum(x**2 - 10 * np.cos(2 * np.pi * x)),
+        2 * x + 20 * np.pi * np.sin(2 * np.pi * x),
+    )
+
+
+def _rosenbrock(x):
+    return rosen(x), rosen_der(x)
+
+
+L_BFGS_B_PROBLEMS = {
+    **{f"rosenbrock-{n}": (_rosenbrock, np.full(n, -1.2)) for n in (2, 5, 8)},
+    "rosenbrock-spread": (_rosenbrock, np.linspace(-2.0, 2.0, 5)),
+    "styblinski-tang": (_styblinski_tang, np.linspace(-4.5, 4.4, 5)),
+    "rastrigin": (_rastrigin, np.linspace(-3.3, 2.7, 5)),
+    "wrong-gradient": (_wrong_gradient, np.array([1.0, -2.0, 0.5, 1.5])),
+    "rotated-gradient": (_rotated_gradient, np.array([1.0, 2.0])),
+    "cusps": (_cusps, np.array([1.0, -2.0, 3.0])),
+}
+
+
+def _more_thuente():
+    """The six line-search test functions of Moré & Thuente (1994), as
+    ``(phi, dphi)`` pairs."""
+    funcs = [
+        (lambda a: -a / (a * a + 2.0), lambda a: (a * a - 2.0) / (a * a + 2.0) ** 2),
+        (
+            lambda a: (a + 0.004) ** 5 - 2 * (a + 0.004) ** 4,
+            lambda a: (a + 0.004) ** 3 * (5 * (a + 0.004) - 8),
+        ),
+    ]
+    b, l = 0.01, 39
+
+    def phi3(a):
+        base = 1 - a if a <= 1 - b else a - 1 if a >= 1 + b else (a - 1) ** 2 / (2 * b) + b / 2
+        return base + 2 * (1 - b) / (l * np.pi) * np.sin(l * np.pi * a / 2)
+
+    def dphi3(a):
+        base = -1.0 if a <= 1 - b else 1.0 if a >= 1 + b else (a - 1) / b
+        return base + (1 - b) * np.cos(l * np.pi * a / 2)
+
+    funcs.append((phi3, dphi3))
+
+    def gamma(t):
+        return np.sqrt(1 + t * t) - t
+
+    for b1, b2 in ((0.001, 0.001), (0.01, 0.001), (0.001, 0.01)):
+        c1, c2 = gamma(b1), gamma(b2)
+        funcs.append((
+            lambda a, b1=b1, b2=b2, c1=c1, c2=c2:
+                c1 * np.sqrt((1 - a) ** 2 + b2**2) + c2 * np.sqrt(a * a + b1 * b1),
+            lambda a, b1=b1, b2=b2, c1=c1, c2=c2:
+                c1 * (a - 1) / np.sqrt((1 - a) ** 2 + b2**2) + c2 * a / np.sqrt(a * a + b1 * b1),
+        ))
+    return funcs
+
+
+MORE_THUENTE = _more_thuente()
+
+
+class TestMinimize:
+    A = np.diag([1.0, 2.0, 3.0, 4.0])
+    B = np.array([1.0, 2.0, 3.0, 4.0])
+
+    def quadratic(self, x):
+        return 0.5 * x @ self.A @ x - self.B @ x, self.A @ x - self.B, "extra"
+
+    def test_a_convex_quadratic_converges_on_the_gradient(self):
+        x, (f, g, extra), iterations, fevals, converged = nogo.minimize(
+            self.quadratic, np.zeros(4), 100
+        )
+        assert converged and np.max(np.abs(g)) <= 1e-5
+        assert 0 < iterations < fevals
+        np.testing.assert_allclose(x, np.linalg.solve(self.A, self.B), atol=1e-5)
+        # the evaluation handed back is the one at the point handed back
+        assert (f, extra) == self.quadratic(x)[::2] and np.array_equal(g, self.quadratic(x)[1])
+
+    def test_the_iteration_cap_stops_it_unconverged(self):
+        _, (_, g, _), iterations, _, converged = nogo.minimize(self.quadratic, np.zeros(4), 3)
+        assert (iterations, converged) == (3, False)
+        assert np.max(np.abs(g)) > 1e-5
+
+    def test_a_stationary_start_needs_no_iteration(self):
+        x0 = np.linalg.solve(self.A, self.B)
+        assert nogo.minimize(self.quadratic, x0, 100)[2:] == (0, 1, True)
+
+    def test_it_is_deterministic(self):
+        rng = np.random.default_rng(3)
+        x0 = rng.normal(size=param_count(SWITCH, 1, 2))
+        prepared = _prepare_samples(SWITCH, 2, draw_samples(SWITCH, 2, 4, rng))
+
+        def negated(x):
+            softmin, grad, fid = _objective(SWITCH, 1, 2, x, prepared)
+            return -softmin, -grad, fid
+
+        first, second = (nogo.minimize(negated, x0, 200) for _ in range(2))
+        assert np.array_equal(first[0], second[0]) and first[2:] == second[2:]
+        assert np.array_equal(first[1][2], second[1][2])
+
+    @pytest.mark.parametrize("name", sorted(L_BFGS_B_PROBLEMS))
+    def test_it_takes_l_bfgs_b_steps(self, name):
+        # scipy's L-BFGS-B, unbounded at its defaults: the same iterations,
+        # evaluations, outcome and end point
+        fun, x0 = L_BFGS_B_PROBLEMS[name]
+        ref = scipy_minimize(fun, x0, jac=True, method="L-BFGS-B")
+        x, (f, _), iterations, fevals, converged = nogo.minimize(fun, x0, 15000)
+        assert (iterations, fevals, converged) == (ref.nit, ref.nfev, ref.success)
+        np.testing.assert_allclose(x, ref.x, rtol=1e-8, atol=1e-10)
+        assert f == fun(x)[0]
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_the_line_search_is_minpack_dcsrch(self, k):
+        # scipy's Python port of the same MINPACK-2 routine, at L-BFGS-B's
+        # tolerances, tries the same steps on the six test functions of
+        # Moré & Thuente (1994) from initial steps over ten decades
+        from scipy.optimize._dcsrch import DCSRCH
+
+        phi, dphi = MORE_THUENTE[k]
+        for first in (1e-5, 1e-3, 1e-2, 1e-1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e3, 1e5):
+            ref, got = [], []
+            search = DCSRCH(lambda t: ref.append(t) or phi(t), dphi, 1e-3, 0.9, 0.1, 0.0, 1e10)
+            ref_step = search(first, phi(0.0), dphi(0.0), maxiter=20)[0]
+            found = nogo._line_search(
+                lambda t: got.append(t) or (phi(t), dphi(t), None), phi(0.0), dphi(0.0), first
+            )
+            assert got == ref
+            if ref_step is not None:  # scipy's port returns no step on a warning
+                assert found[0] == ref_step
 
 
 class TestOracleSanity:
