@@ -8,6 +8,8 @@
 # |alpha|^4 + |beta|^4: for a balanced control the fidelity drops from
 # 1 to 1/2, and the output is the classical mixture of the branches.
 
+from collections import Counter
+
 import numpy as np
 
 from ctrlsim.hilbert import fidelity_mixed, haar_unitary, random_unit_vector
@@ -16,7 +18,7 @@ from ctrlsim.photonic import (
     place_on_path,
     preset_ctrl_u_monitored,
     propagate,
-    sample_outcomes,
+    sample,
 )
 
 rng = np.random.default_rng(3)
@@ -40,11 +42,12 @@ for alpha in np.linspace(0, 1, 11):
 # outcome 1 means the photon was seen in the device arm.
 alpha, beta = 0.6, 0.8
 inp = photon_input(net.space, "u", (alpha, beta), psi)
-counts = sample_outcomes(net, inp, {"U": u}, 100_000, np.random.default_rng(0))
+out = propagate(net, inp, {"U": u})
+counts = Counter(b.outcomes[0] for b in sample(out, 100_000, np.random.default_rng(0)))
 print("\n100000 monitored shots with alpha=0.6, beta=0.8:")
 print("  photon absent :", counts[0], " (Born:", alpha**2, ")")
 print("  photon present:", counts[1], " (Born:", beta**2, ")")
 
 for seed in range(3):
-    shot = propagate(net, inp, {"U": u}, rng=np.random.default_rng(seed))
-    print(f"  single shot, seed {seed}: outcome {shot.outcome}, p = {shot.probability:.4f}")
+    (shot,) = sample(out, 1, np.random.default_rng(seed))
+    print(f"  single shot, seed {seed}: outcome {shot.outcomes[0]}, p = {shot.probability:.4f}")

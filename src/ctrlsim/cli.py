@@ -237,10 +237,11 @@ def _run(args, family: str, scheme, scheme_id: str, kind: str | None) -> tuple[d
     alpha, beta = _control_amps(args)
     psi = _parse_psi(args.psi, dim)
 
-    rng = np.random.default_rng(args.seed) if args.sample else None
-    outcome = propagate(place_in(np.kron([alpha, beta], psi)), bindings, rng=rng)
-    if rng is not None and isinstance(outcome, photonic.PureOutcome):
-        raise ValueError("--sample needs a network with a monitored device")
+    outcome = propagate(place_in(np.kron([alpha, beta], psi)), bindings)
+    if args.sample:
+        if isinstance(outcome, photonic.PureOutcome):
+            raise ValueError("--sample needs a network with a monitored device")
+        outcome = photonic.sample(outcome, 1, np.random.default_rng(args.seed))[0]
 
     target = None
     if kind is not None:
@@ -254,10 +255,10 @@ def _run(args, family: str, scheme, scheme_id: str, kind: str | None) -> tuple[d
             "branch_probabilities": [b.probability for b in outcome.branches],
         }
         fidelity = fidelity_mixed(outcome.rho, target) if target is not None else None
-    elif isinstance(outcome, photonic.SampledOutcome):
+    elif isinstance(outcome, photonic.Branch):
         output = {
             "kind": "sampled",
-            "outcome": outcome.outcome,
+            "outcome": outcome.outcomes if len(outcome.outcomes) > 1 else outcome.outcomes[0],
             "probability": outcome.probability,
             "amplitudes": _complex_pairs(outcome.state.amps),
         }

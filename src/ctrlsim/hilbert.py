@@ -252,14 +252,15 @@ class DirectSumBlock:
 
 def _json_field(obj, key: str, kind: type, items: type | None = None):
     """``obj[key]`` of a parsed JSON object, of type ``kind`` (an array's
-    entries of type ``items``); any other shape raises ``ValueError``."""
+    entries or an object's values of type ``items``); any other shape
+    raises ``ValueError``."""
     if type(obj) is not dict:
         raise ValueError(f"expected a JSON object with field {key!r}, got {obj!r}")
     if key not in obj:
         raise ValueError(f"JSON object lacks the field {key!r}: {obj!r}")
     value = obj[key]
-    entries = value if items is not None and type(value) is list else ()
-    if type(value) is not kind or any(type(v) is not items for v in entries):
+    entries = value.values() if type(value) is dict else value
+    if type(value) is not kind or (items and any(type(v) is not items for v in entries)):
         raise ValueError(f"field {key!r} has the wrong JSON type: {value!r}")
     return value
 

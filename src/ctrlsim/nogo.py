@@ -615,11 +615,10 @@ def logical_map(scheme, fock_cutoff: int = 3) -> tuple:
     ``dim`` is the system dimension; ``place_in(vector)`` and
     ``place_out(vector)`` put a logical vector of length ``2 * dim``
     (control index slowest) on the input and the output side, and
-    ``propagate(input, bindings, rng=None)`` returns the outcome.  A
-    photon enters and leaves on the network's input and output paths;
-    the ions carry the logical qubits on both sides with the mode,
-    truncated at ``fock_cutoff``, in n = 0, and their final ket is a
-    ``PureOutcome``.
+    ``propagate(input, bindings)`` returns the outcome.  A photon enters
+    and leaves on the network's input and output paths; the ions carry
+    the logical qubits on both sides with the mode, truncated at
+    ``fock_cutoff``, in n = 0, and their final ket is a ``PureOutcome``.
     """
     if isinstance(scheme, photonic.Network):
         space = scheme.space
@@ -631,7 +630,7 @@ def logical_map(scheme, fock_cutoff: int = 3) -> tuple:
         )
     space = ion.TrapSpace(fock_cutoff=fock_cutoff)
 
-    def propagate(init, bindings, rng=None):
+    def propagate(init, bindings):
         return photonic.PureOutcome(ion.run_sequence(scheme, init, bindings, space=space)[0])
 
     place = partial(ion.place_logical, space)

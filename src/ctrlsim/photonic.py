@@ -18,6 +18,10 @@ physical device: this models a single inserted device that the photon
 traverses more than once (a loop), which is how the order-control
 network routes both polarization components through each device while
 inserting every device exactly once.
+
+A monitored device's presence measurement collapses any path
+superposition, so :func:`propagate` returns the ensemble of measurement
+branches and :func:`sample` draws shots from it.
 """
 
 from __future__ import annotations
@@ -249,7 +253,7 @@ class Network:
                 path, slot = (_json_field(entry, key, str) for key in ("path", "slot"))
                 stages.append(device(path, slot))
             elif kind == "reroute":
-                stages.append(Reroute(_json_field(entry, "perm", dict)))
+                stages.append(Reroute(_json_field(entry, "perm", dict, str)))
             else:
                 raise ValueError(f"unknown element type {kind!r}")
         ends = [_json_field(data, end, str) for end in ("input_path", "output_path")]
@@ -328,15 +332,6 @@ class MixedOutcome:
     branches: tuple[Branch, ...]
 
 
-@dataclass(frozen=True)
-class SampledOutcome:
-    outcome: int | tuple[int, ...]
-    state: StateVector
-    probability: float
-
-
-SchemeOutcome = Union[PureOutcome, MixedOutcome, SampledOutcome]
-
 _BRANCH_CUTOFF = 1e-14
 
 
@@ -347,24 +342,16 @@ def _compile(net: Network, bindings: Mapping[str, Operator]) -> list[np.ndarray]
     )
 
 
-def _outcome_key(record: tuple[int, ...]) -> int | tuple[int, ...]:
-    return record[0] if len(record) == 1 else record
-
-
 def propagate(
-    net: Network,
-    input_state: StateVector,
-    bindings: Mapping[str, Operator],
-    rng: np.random.Generator | None = None,
-) -> SchemeOutcome:
+    net: Network, input_state: StateVector, bindings: Mapping[str, Operator]
+) -> PureOutcome | MixedOutcome:
     """Run a photon through the network.
 
     Without monitored devices the result is ``PureOutcome``.  Each
     monitored device's non-demolition measurement splits every branch
     into a photon-present branch (outcome 1) and a photon-absent branch
-    (outcome 0).  The full ensemble is returned as ``MixedOutcome``
-    unless ``rng`` is given; then one branch is drawn from it, with a
-    single ``rng.random()``, and returned as ``SampledOutcome``.
+    (outcome 0), and the full ensemble is returned as ``MixedOutcome``;
+    :func:`sample` draws shots from it.
     """
     if input_state.space.factors != net.space.hilbert.factors:
         raise ValueError("input state does not live on the network space")
@@ -390,11 +377,6 @@ def propagate(
     space = net.space.hilbert
     if len(branches) == 1 and branches[0][2] == ():
         return PureOutcome(StateVector(space, branches[0][1]))
-    if rng is not None:
-        weights = np.array([prob for prob, _, _ in branches])
-        pick = int(np.searchsorted(np.cumsum(weights / weights.sum()), float(rng.random())))
-        prob, amps, rec = branches[min(pick, len(branches) - 1)]
-        return SampledOutcome(_outcome_key(rec), StateVector(space, amps), prob)
     wrapped = tuple(
         Branch(prob, rec, StateVector(space, amps)) for prob, amps, rec in branches
     )
@@ -402,29 +384,18 @@ def propagate(
     return MixedOutcome(rho, wrapped)
 
 
-def sample_outcomes(
-    net: Network,
-    input_state: StateVector,
-    bindings: Mapping[str, Operator],
-    shots: int,
-    rng: np.random.Generator,
-) -> dict:
-    """Outcome frequencies of repeated sampled propagation.
-
-    The network is compiled once; shots are drawn from the exact branch
-    ensemble, the one a sampled :func:`propagate` draws a single shot
-    from.
-    """
-    outcome = propagate(net, input_state, bindings)
+def sample(
+    outcome: PureOutcome | MixedOutcome, shots: int, rng: np.random.Generator
+) -> list[Branch]:
+    """``shots`` branches of ``outcome``'s ensemble, drawn by their
+    probabilities with one ``rng.random`` value each.  A ``PureOutcome``
+    saw no monitored device and raises ``ValueError``."""
     if isinstance(outcome, PureOutcome):
         raise ValueError("network has no monitored device, nothing to sample")
-    keys = [_outcome_key(b.outcomes) for b in outcome.branches]
     weights = np.array([b.probability for b in outcome.branches])
-    draws = rng.choice(len(keys), size=int(shots), p=weights / weights.sum())
-    counts = {k: 0 for k in keys}
-    for i in draws:
-        counts[keys[int(i)]] += 1
-    return counts
+    picks = np.searchsorted(np.cumsum(weights / weights.sum()), rng.random(shots))
+    last = len(outcome.branches) - 1
+    return [outcome.branches[min(int(i), last)] for i in picks]
 
 
 def network_unitary(net: Network, bindings: Mapping[str, Operator]) -> Operator:

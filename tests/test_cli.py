@@ -444,6 +444,22 @@ class TestSchemeFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: JSON object lacks the field {field!r}") and err.count("\n") == 1
 
+    def test_a_reroute_target_must_be_a_string(self, tmp_path, capsys):
+        scheme = {
+            "space": {"paths": ["0", "1"], "internal_dim": 2},
+            "stages": [
+                {"type": "reroute", "perm": {"0": 1, "1": 0}},
+                {"type": "device", "path": "1", "slot": "U"},
+            ],
+            "input_path": "0",
+            "output_path": "1",
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scheme))
+        assert run_cli("run", "--scheme", str(path), "--u", "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'perm' has the wrong JSON type") and err.count("\n") == 1
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("run", "--scheme", str(tmp_path / "nope.json"), "--u", "i") == 2
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from ctrlsim.photonic import (
     PhotonicSpace,
     PureOutcome,
     Reroute,
-    SampledOutcome,
     element_unitary,
     network_unitary,
     photon_input,
@@ -29,7 +30,7 @@ from ctrlsim.photonic import (
     preset_ctrl_u,
     preset_ctrl_u_monitored,
     propagate,
-    sample_outcomes,
+    sample,
     two_photon_product,
     two_photon_space,
 )
@@ -307,9 +308,8 @@ class TestMonitoredPropagation:
         post = {}
         seed = 0
         while len(post) < 2:
-            s = propagate(net, inp, {"U": u}, rng=np.random.default_rng(seed))
-            assert isinstance(s, SampledOutcome)
-            post[s.outcome] = (s.probability, s.state)
+            (s,) = sample(mixed, 1, np.random.default_rng(seed))
+            post[s.outcomes] = (s.probability, s.state)
             seed += 1
         rebuilt = sum(
             p * np.outer(state.amps, state.amps.conj()) for p, state in post.values()
@@ -321,9 +321,9 @@ class TestMonitoredPropagation:
         net = preset_ctrl_u_monitored(2)
         u = haar_unitary(2, rng)
         inp = photon_input(net.space, "u", random_unit_vector(2, rng), random_unit_vector(2, rng))
-        a = propagate(net, inp, {"U": u}, rng=np.random.default_rng(123))
-        b = propagate(net, inp, {"U": u}, rng=np.random.default_rng(123))
-        assert a.outcome == b.outcome
+        (a,) = sample(propagate(net, inp, {"U": u}), 1, np.random.default_rng(123))
+        (b,) = sample(propagate(net, inp, {"U": u}), 1, np.random.default_rng(123))
+        assert a.outcomes == b.outcomes
         assert a.probability == b.probability
         assert np.array_equal(a.state.amps, b.state.amps)
 
@@ -340,7 +340,8 @@ class TestMonitoredPropagation:
         rng = np.random.default_rng(31)
         net = preset_ctrl_u_monitored(2)
         inp = photon_input(net.space, "u", (0.6, 0.8), random_unit_vector(2, rng))
-        counts = sample_outcomes(net, inp, {"U": haar_unitary(2, rng)}, 10_000, rng)
+        out = propagate(net, inp, {"U": haar_unitary(2, rng)})
+        counts = Counter(b.outcomes[0] for b in sample(out, 10_000, rng))
         assert counts[0] + counts[1] == 10_000
         assert abs(counts[0] / 10_000 - 0.36) < 0.02
 
@@ -348,8 +349,9 @@ class TestMonitoredPropagation:
         rng = np.random.default_rng(32)
         net = preset_ctrl_u(2)
         inp = photon_input(net.space, "u", (1, 0), [1, 0])
+        out = propagate(net, inp, {"U": haar_unitary(2, rng)})
         with pytest.raises(ValueError):
-            sample_outcomes(net, inp, {"U": haar_unitary(2, rng)}, 10, rng)
+            sample(out, 10, rng)
 
     def test_network_unitary_refuses_monitor(self):
         net = preset_ctrl_u_monitored(2)

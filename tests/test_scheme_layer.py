@@ -84,12 +84,27 @@ def test_a_shot_is_one_branch_of_the_ensemble():
     assert len(by_record) == 2
     seen = set()
     for seed in range(12):
-        shot = photonic.propagate(net, inp, bindings, rng=np.random.default_rng(seed))
-        branch = by_record[shot.outcome]
+        (shot,) = photonic.sample(ensemble, 1, np.random.default_rng(seed))
+        branch = by_record[shot.outcomes]
         assert shot.probability == branch.probability
         assert np.array_equal(shot.state.amps, branch.state.amps)
-        seen.add(shot.outcome)
+        seen.add(shot.outcomes)
     assert seen == set(by_record)
+
+
+def test_a_shot_is_drawn_by_one_uniform_value():
+    """A shot is branch ``k``, the insertion point of one ``rng.random()``
+    in the normalized cumulative probabilities, so a seed fixes the shot
+    that ``ctrlsim run --sample --seed`` reports."""
+    net = _two_monitors()
+    inp = photonic.photon_input(net.space, "u", (0.6, 0.8), [1, 0])
+    ensemble = photonic.propagate(net, inp, {"U": haar_unitary(2, np.random.default_rng(5))})
+    p = np.array([b.probability for b in ensemble.branches])
+    for seed in range(12):
+        u = np.random.default_rng(seed).random()
+        pick = int(np.searchsorted(np.cumsum(p / p.sum()), u))
+        (shot,) = photonic.sample(ensemble, 1, np.random.default_rng(seed))
+        assert shot is ensemble.branches[pick]
 
 
 def test_pulse_field_types_are_checked():
