@@ -56,7 +56,7 @@ for lv2 in (0, 1):
 from ctrlsim.hilbert import StateVector
 
 print("final fidelity vs (alpha|g>|psi> + beta|e>U|psi>)|0>:",
-      fidelity_pure(final, StateVector(space.hilbert, target)))
+      fidelity_pure(final, StateVector(space, target)))
 print("vibrational mode back in the ground state:", assert_ground_mode(final))
 
 # Order control: each unknown pulse is sent once and reflected back by
@@ -74,4 +74,4 @@ for lv2 in (0, 1):
     target2[space.flat(0, lv2, 0)] = alpha * gf[lv2]
     target2[space.flat(1, lv2, 0)] = beta * ge[lv2]
 print("final fidelity vs (alpha|g>UgUf|psi> + beta|e>UfUg|psi>)|0>:",
-      fidelity_pure(final2, StateVector(space.hilbert, target2)))
+      fidelity_pure(final2, StateVector(space, target2)))

@@ -50,22 +50,17 @@ _GROUND_MODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class TrapSpace:
-    """Two four-level ions plus one truncated vibrational mode."""
+class TrapSpace(HilbertSpace):
+    """Two four-level ions plus one truncated vibrational mode: the
+    :class:`HilbertSpace` with factors ``ion1``, ``ion2`` (4 each) and ``mode``."""
 
-    fock_cutoff: int = 3
+    fock_cutoff: int
 
-    def __post_init__(self):
-        if self.fock_cutoff < 2:
+    def __init__(self, fock_cutoff: int = 3):
+        if int(fock_cutoff) < 2:
             raise ValueError("need at least occupations 0 and 1")
-
-    @property
-    def hilbert(self) -> HilbertSpace:
-        return HilbertSpace([("ion1", 4), ("ion2", 4), ("mode", self.fock_cutoff)])
-
-    @property
-    def total_dim(self) -> int:
-        return 16 * self.fock_cutoff
+        object.__setattr__(self, "fock_cutoff", int(fock_cutoff))
+        HilbertSpace.__init__(self, [("ion1", 4), ("ion2", 4), ("mode", self.fock_cutoff)])
 
     def flat(self, ion1: int, ion2: int, n: int) -> int:
         return (ion1 * 4 + ion2) * self.fock_cutoff + n
@@ -233,18 +228,18 @@ def run_sequence(
     bindings: Mapping[str, Operator] | None = None,
     space: TrapSpace | None = None,
 ) -> tuple[StateVector, list[StateVector]]:
-    """Apply the pulses in order, recording the state after each one."""
+    """Apply the pulses in order, recording the state after each one on
+    ``space`` (by default the ``TrapSpace`` of ``init``'s mode cutoff);
+    ``init`` may live on any space with ``space``'s factors."""
     if space is None:
-        n = init.space.dim_of("mode")
-        space = TrapSpace(fock_cutoff=n)
-    hspace = space.hilbert
-    if init.space.factors != hspace.factors:
+        space = TrapSpace(fock_cutoff=init.space.dim_of("mode"))
+    if init.space.factors != space.factors:
         raise ValueError("initial state does not live on the trap space")
     state = init.amps
     trace: list[StateVector] = []
     for stage in _compile(seq, space, bindings):
         state = _apply_stage(stage, state)
-        trace.append(StateVector(hspace, state))
+        trace.append(StateVector(space, state))
     final = trace[-1] if trace else init
     return final, trace
 
@@ -308,15 +303,15 @@ def assert_ground_mode(state: StateVector) -> bool:
 
 
 def place_logical(space: TrapSpace, control_system) -> StateVector:
-    """State with the logical (control, system) vector on the electronic
-    qubits of ion 1 and ion 2, the mode in n = 0: amplitude ``2c + s`` of
-    ``control_system`` sits at ``space.flat(c, s, 0)``."""
+    """State on ``space`` with the logical (control, system) vector on the
+    electronic qubits of ion 1 and ion 2, the mode in n = 0: amplitude
+    ``2c + s`` of ``control_system`` sits at ``space.flat(c, s, 0)``."""
     block = np.asarray(control_system, dtype=np.complex128).reshape(-1)
     if block.shape != (4,):
         raise ValueError("logical (control, system) vector must have length 4")
     amps = np.zeros(space.total_dim, dtype=np.complex128)
     amps[[space.flat(c, s, 0) for c in (G, E) for s in (G, E)]] = block
-    return StateVector(space.hilbert, amps)
+    return StateVector(space, amps)
 
 
 def ion_input(space: TrapSpace, control_amps, system_amps) -> StateVector:

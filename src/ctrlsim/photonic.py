@@ -49,8 +49,9 @@ H, V = 0, 1
 
 
 @dataclass(frozen=True)
-class PhotonicSpace:
-    """Single-photon sector over (path, polarization, internal)."""
+class PhotonicSpace(HilbertSpace):
+    """Single-photon sector: the :class:`HilbertSpace` with factors ``path``
+    (one index per label in ``paths``), ``pol`` (H, V) and ``internal``."""
 
     paths: tuple[str, ...]
     internal_dim: int
@@ -63,16 +64,8 @@ class PhotonicSpace:
             raise ValueError("internal dimension must be at least 1")
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "internal_dim", int(internal_dim))
-
-    @property
-    def hilbert(self) -> HilbertSpace:
-        return HilbertSpace(
-            [("path", len(self.paths)), ("pol", 2), ("internal", self.internal_dim)]
-        )
-
-    @property
-    def total_dim(self) -> int:
-        return len(self.paths) * 2 * self.internal_dim
+        factors = [("path", len(paths)), ("pol", 2), ("internal", self.internal_dim)]
+        HilbertSpace.__init__(self, factors)
 
     def path_index(self, path: str) -> int:
         try:
@@ -345,7 +338,8 @@ def _compile(net: Network, bindings: Mapping[str, Operator]) -> list[np.ndarray]
 def propagate(
     net: Network, input_state: StateVector, bindings: Mapping[str, Operator]
 ) -> PureOutcome | MixedOutcome:
-    """Run a photon through the network.
+    """Run a photon through the network.  ``input_state`` may live on any
+    space with ``net.space``'s factors; the states returned live on ``net.space``.
 
     Without monitored devices the result is ``PureOutcome``.  Each
     monitored device's non-demolition measurement splits every branch
@@ -353,7 +347,7 @@ def propagate(
     (outcome 0), and the full ensemble is returned as ``MixedOutcome``;
     :func:`sample` draws shots from it.
     """
-    if input_state.space.factors != net.space.hilbert.factors:
+    if input_state.space.factors != net.space.factors:
         raise ValueError("input state does not live on the network space")
 
     # ensemble of (probability, amplitudes, outcome record)
@@ -374,11 +368,10 @@ def propagate(
             branches = split
         branches = [(prob, _apply_stage(u, amps), rec) for prob, amps, rec in branches]
 
-    space = net.space.hilbert
     if len(branches) == 1 and branches[0][2] == ():
-        return PureOutcome(StateVector(space, branches[0][1]))
+        return PureOutcome(StateVector(net.space, branches[0][1]))
     wrapped = tuple(
-        Branch(prob, rec, StateVector(space, amps)) for prob, amps, rec in branches
+        Branch(prob, rec, StateVector(net.space, amps)) for prob, amps, rec in branches
     )
     rho = DensityMatrix.mixture((b.probability, b.state) for b in wrapped)
     return MixedOutcome(rho, wrapped)
@@ -424,14 +417,14 @@ def photon_input(
 
 
 def place_on_path(space: PhotonicSpace, path: str, pol_internal) -> StateVector:
-    """State with all amplitude on one path; ``pol_internal`` is the
-    (pol, internal) block of length ``2 * internal_dim``."""
+    """State on ``space`` with all amplitude on one path; ``pol_internal``
+    is the (pol, internal) block of length ``2 * internal_dim``."""
     block = np.asarray(pol_internal, dtype=np.complex128).reshape(-1)
     if block.shape != (2 * space.internal_dim,):
         raise ValueError("block length must be 2 * internal_dim")
     amps = np.zeros(space.total_dim, dtype=np.complex128)
     amps[space.path_slice(path)] = block
-    return StateVector(space.hilbert, amps)
+    return StateVector(space, amps)
 
 
 def preset_ctrl_u(internal_dim: int) -> Network:

@@ -117,13 +117,12 @@ def _ion_step_targets(space, alpha, beta, a, b, u_entries):
     final = alpha * np.kron(np.kron(lvl(G), qb(a, b)), md(0)) + beta * np.kron(
         np.kron(lvl(E), qb(ua, ub)), md(0)
     )
-    hilbert = space.hilbert
     return {
-        0: StateVector(hilbert, after_swap),
-        2: StateVector(hilbert, after_hiding),
-        3: StateVector(hilbert, after_carrier),
-        5: StateVector(hilbert, after_unhiding),
-        6: StateVector(hilbert, final),
+        0: StateVector(space, after_swap),
+        2: StateVector(space, after_hiding),
+        3: StateVector(space, after_carrier),
+        5: StateVector(space, after_unhiding),
+        6: StateVector(space, final),
     }
 
 
@@ -171,7 +170,7 @@ def test_criterion_4_ion_ctrl_switch():
         for lv2 in (G, E):
             amps[space.flat(G, lv2, 0)] = alpha * gf[lv2]
             amps[space.flat(E, lv2, 0)] = beta * ge[lv2]
-        worst = min(worst, fidelity_pure(final, StateVector(space.hilbert, amps)))
+        worst = min(worst, fidelity_pure(final, StateVector(space, amps)))
     elapsed = time.perf_counter() - start
     info = seq.slot_info()
     single_use = all(entry["pulses_sent"] == 1 for entry in info.values())
@@ -302,7 +301,7 @@ def test_criterion_9_invariants_and_determinism():
         if not _unitary_deviation(photonic.element_unitary(e, space, bindings).entries) <= 1e-10:
             problems.append(f"element {e} not unitary")
     for _ in range(20):
-        psi = StateVector(space.hilbert, random_unit_vector(space.total_dim, rng))
+        psi = StateVector(space, random_unit_vector(space.total_dim, rng))
         evolved = photonic.element_unitary(
             photonic.Device("l", "U"), space, bindings
         ).entries @ psi.amps

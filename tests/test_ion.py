@@ -33,7 +33,7 @@ G, E, GP, EP = 0, 1, 2, 3
 def ket(space, ion1_amps, ion2_amps, mode_amps):
     """Assemble |ion1> x |ion2> x |mode> from per-factor amplitudes."""
     amps = np.kron(np.kron(ion1_amps, ion2_amps), mode_amps)
-    return StateVector(space.hilbert, amps)
+    return StateVector(space, amps)
 
 
 def level(index, primed=False):
@@ -197,7 +197,7 @@ class TestRunSequence:
         for lv2 in range(4):
             amps[space.flat(G, lv2, 0)] = c0 * psi2[lv2]
             amps[space.flat(E, lv2, 1)] = c1 * psi2[lv2]
-        init = StateVector(space.hilbert, amps)
+        init = StateVector(space, amps)
         seq = PulseSequence([SidebandSwap(1), SidebandSwap(1)])
         final, _ = run_sequence(seq, init, {})
         assert np.max(np.abs(final.amps - init.amps)) < 1e-12
@@ -230,13 +230,13 @@ class TestCtrlUSequence:
         )
         hidden = alpha * np.kron(qubit(a, b, primed=True), mode(space, 0))
         active = beta * np.kron(qubit(a, b), mode(space, 0))
-        after_hiding = StateVector(space.hilbert, np.kron(level(E), hidden + active))
+        after_hiding = StateVector(space, np.kron(level(E), hidden + active))
         acted = beta * np.kron(qubit(ua, ub), mode(space, 0))
-        after_carrier = StateVector(space.hilbert, np.kron(level(E), hidden + acted))
+        after_carrier = StateVector(space, np.kron(level(E), hidden + acted))
         unhidden = alpha * np.kron(qubit(a, b), mode(space, 1))
-        after_unhiding = StateVector(space.hilbert, np.kron(level(E), unhidden + acted))
+        after_unhiding = StateVector(space, np.kron(level(E), unhidden + acted))
         final = StateVector(
-            space.hilbert,
+            space,
             alpha * np.kron(np.kron(level(G), qubit(a, b)), mode(space, 0))
             + beta * np.kron(np.kron(level(E), qubit(ua, ub)), mode(space, 0)),
         )
@@ -293,7 +293,7 @@ class TestCtrlUSequence:
                 ),
             )
             init = ion_input(space, random_unit_vector(2, rng), random_unit_vector(2, rng))
-            want = StateVector(space.hilbert, gate.entries @ init.amps)
+            want = StateVector(space, gate.entries @ init.amps)
             final, _ = run_sequence(seq_ctrl_u(), init, {"U": u})
             assert fidelity_pure(final, want) >= 1 - 1e-10
 
@@ -316,7 +316,7 @@ class TestCtrlSwitchSequence:
             gf = ug.entries @ uf.entries @ psi
             ge = uf.entries @ ug.entries @ psi
             want = StateVector(
-                space.hilbert,
+                space,
                 alpha * np.kron(np.kron(level(G), qubit(*gf)), mode(space, 0))
                 + beta * np.kron(np.kron(level(E), qubit(*ge)), mode(space, 0)),
             )
@@ -352,7 +352,7 @@ class TestCtrlSwitchSequence:
                 DirectSumBlock([space.flat(E, G, 0), space.flat(E, E, 0)], space.total_dim),
             )
             init = ion_input(space, random_unit_vector(2, rng), random_unit_vector(2, rng))
-            want = StateVector(space.hilbert, (block_g.entries @ block_e.entries) @ init.amps)
+            want = StateVector(space, (block_g.entries @ block_e.entries) @ init.amps)
             final, _ = run_sequence(seq_ctrl_switch(), init, {"Uf": uf, "Ug": ug})
             assert fidelity_pure(final, want) >= 1 - 1e-10
 

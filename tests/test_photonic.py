@@ -44,7 +44,7 @@ def basis_photon(space, path, pol, internal):
     amps[space.flat(path, pol, internal)] = 1.0
     from ctrlsim.hilbert import StateVector
 
-    return StateVector(space.hilbert, amps)
+    return StateVector(space, amps)
 
 
 class TestElements:

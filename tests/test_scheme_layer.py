@@ -1,9 +1,9 @@
-"""The layer photonic networks and ion pulse sequences share: one
-slot-binding check, which the search passes through too, compiled stages
-that act exactly as the dense stage matrices, slot-stage matrices equal
-to test-side embeddings, fixed-stage gathers built once per process, one
-sampler over the exact branch ensemble, and pulse files read field by
-field."""
+"""The layer photonic networks and ion pulse sequences share: scheme
+spaces that are HilbertSpaces, one slot-binding check, which the search
+passes through too, compiled stages that act exactly as the dense stage
+matrices, slot-stage matrices equal to test-side embeddings, fixed-stage
+gathers built once per process, one sampler over the exact branch
+ensemble, and pulse files read field by field."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,13 @@ import pytest
 from ctrlsim import ion, nogo, photonic
 from ctrlsim.hilbert import (
     DirectSumBlock,
+    HilbertSpace,
     Operator,
+    StateVector,
     _apply_stage,
     _fixed_stage,
     _gather,
+    basis_state,
     haar_unitary,
     random_unit_vector,
     subspace_embed,
@@ -65,6 +68,92 @@ def test_non_operator_bindings_fail_closed_in_propagate_and_run_sequence():
     with pytest.raises(TypeError, match="not an Operator"):
         ion.run_sequence(ion.seq_ctrl_u(), ion.ion_input(TRAP, (1, 0), (1, 0)), bad)
 
+
+@pytest.mark.parametrize(
+    "space,factors",
+    [
+        (photonic.preset_ctrl_u(3).space, (("path", 2), ("pol", 2), ("internal", 3))),
+        (photonic.preset_ctrl_switch(2).space, (("path", 2), ("pol", 2), ("internal", 2))),
+        (ion.TrapSpace(4), (("ion1", 4), ("ion2", 4), ("mode", 4))),
+        (ion.TrapSpace(), (("ion1", 4), ("ion2", 4), ("mode", 3))),
+    ],
+)
+def test_scheme_spaces_are_hilbert_spaces(space, factors):
+    assert isinstance(space, HilbertSpace)
+    assert space.factors == factors
+    assert space.total_dim == np.prod([dim for _, dim in factors])
+
+
+def test_trap_space_stores_the_cutoff_its_mode_factor_has():
+    for cutoff in (4.0, np.int64(4)):
+        space = ion.TrapSpace(cutoff)
+        assert type(space.fock_cutoff) is int and space.fock_cutoff == space.dim_of("mode") == 4
+        assert space == ion.TrapSpace(4) and hash(space) == hash(ion.TrapSpace(4))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ion.TrapSpace(1), "need at least occupations 0 and 1"),
+        (
+            lambda: photonic.PhotonicSpace(("u", "u"), 2),
+            "path labels must be unique, got ('u', 'u')",
+        ),
+        (lambda: photonic.PhotonicSpace(("u",), 0), "internal dimension must be at least 1"),
+    ],
+)
+def test_scheme_spaces_check_their_own_arguments(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build", [photonic.preset_ctrl_switch, photonic.preset_ctrl_u_monitored])
+def test_propagate_takes_a_state_on_a_plain_space_with_the_same_factors(build):
+    rng = np.random.default_rng(24)
+    net = build(2)
+    bindings = {s: haar_unitary(2, rng) for s in net.slots}
+    amps = random_unit_vector(net.space.total_dim, rng)
+    own, plain = (
+        photonic.propagate(net, StateVector(space, amps), bindings)
+        for space in (net.space, HilbertSpace(net.space.factors))
+    )
+    own = getattr(own, "branches", [own])
+    plain = getattr(plain, "branches", [plain])
+    assert len(own) == len(plain)
+    for a, b in zip(own, plain):
+        assert b.state.space is net.space
+        assert np.array_equal(a.state.amps, b.state.amps)
+
+
+def test_run_sequence_takes_a_state_on_a_plain_space_with_the_same_factors():
+    rng = np.random.default_rng(24)
+    bindings = {s: haar_unitary(2, rng) for s in ("Uf", "Ug")}
+    amps = random_unit_vector(TRAP.total_dim, rng)
+    seq = ion.seq_ctrl_switch()
+    own = ion.run_sequence(seq, StateVector(TRAP, amps), bindings, space=TRAP)
+    plain = StateVector(HilbertSpace(TRAP.factors), amps)
+    for space in (None, TRAP):
+        final, trace = ion.run_sequence(seq, plain, bindings, space)
+        assert final.space == TRAP
+        assert np.array_equal(final.amps, own[0].amps)
+        assert all(np.array_equal(a.amps, b.amps) for a, b in zip(trace, own[1], strict=True))
+
+
+def test_a_state_on_other_factors_is_refused():
+    net = photonic.preset_ctrl_u(2)
+    bindings = {"U": haar_unitary(2, np.random.default_rng(0))}
+    for other in (
+        photonic.PhotonicSpace(("u", "l"), 3),
+        HilbertSpace([("path", 2), ("pol", 2), ("spin", 2)]),
+    ):
+        with pytest.raises(ValueError) as info:
+            photonic.propagate(net, basis_state(other, (0, 0, 0)), bindings)
+        assert str(info.value) == "input state does not live on the network space"
+    for other in (ion.TrapSpace(4), HilbertSpace([("ion1", 4), ("ion2", 4), ("phonon", 3)])):
+        with pytest.raises(ValueError) as info:
+            ion.run_sequence(ion.seq_ctrl_u(), basis_state(other, (0, 0, 0)), bindings, TRAP)
+        assert str(info.value) == "initial state does not live on the trap space"
 
 def _two_monitors():
     """The first monitor sees no photon, the second splits the state."""

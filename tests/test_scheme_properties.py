@@ -88,7 +88,7 @@ def test_sequence_json_round_trip_is_exact(seq):
 def test_propagate_conserves_norm(net, seed):
     rng = np.random.default_rng(seed)
     bindings = {s: haar_unitary(net.space.internal_dim, rng) for s in net.slots}
-    psi = StateVector(net.space.hilbert, random_unit_vector(net.space.hilbert.total_dim, rng))
+    psi = StateVector(net.space, random_unit_vector(net.space.total_dim, rng))
     outcome = photonic.propagate(net, psi, bindings)
     assert isinstance(outcome, photonic.PureOutcome)
     assert abs(np.linalg.norm(outcome.state.amps) - 1) < 1e-10
@@ -100,7 +100,7 @@ def test_run_sequence_conserves_norm(seq, fock, seed):
     rng = np.random.default_rng(seed)
     space = ion.TrapSpace(fock_cutoff=fock)
     bindings = {s: haar_unitary(2, rng) for s in ("U", "Uf", "Ug")}
-    psi = StateVector(space.hilbert, random_unit_vector(space.total_dim, rng))
+    psi = StateVector(space, random_unit_vector(space.total_dim, rng))
     final, trace = ion.run_sequence(seq, psi, bindings, space=space)
     assert len(trace) == len(seq.pulses)
     assert abs(np.linalg.norm(final.amps) - 1) < 1e-10
