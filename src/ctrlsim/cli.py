@@ -168,7 +168,10 @@ def _parse_psi(text: str | None, dim: int) -> np.ndarray:
         psi = np.zeros(dim, dtype=complex)
         psi[0] = 1.0
         return psi
-    values = [float(v) for v in text.split(",")]
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--psi entries must be numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise ValueError(f"--psi entries must be finite, got {text!r}")
     if len(values) != 2 * dim:

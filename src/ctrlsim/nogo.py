@@ -28,12 +28,12 @@ once per search.  ``tests/reference.py`` composes the same circuit one
 sample at a time with scipy's ``expm`` and is the independent check on
 it.
 
-Each restart maximizes the softmin with :func:`minimize`, a numpy port
-of L-BFGS-B's unconstrained iteration at scipy's default settings,
-with the Moré-Thuente line search that L-BFGS-B uses.  The package
-needs numpy alone: scipy is imported only by :func:`expm`, which
-nothing in the package calls, and by the tests, which check the kernel
-and :func:`minimize` against it.
+Each restart maximizes the softmin with :func:`minimize`, a numpy
+L-BFGS with L-BFGS-B's memory and stopping tests and a bisection line
+search on the weak Wolfe conditions.  The package needs numpy alone:
+scipy is imported only by :func:`expm`, which nothing in the package
+calls, and by the tests, which check the kernel against it and compare
+:func:`minimize`'s end points with scipy's L-BFGS-B.
 """
 
 from __future__ import annotations
@@ -71,15 +71,14 @@ TASKS = {
 # minimum of S samples, and its gradient weights the samples near it.
 _SOFTMIN_BETA = 30.0
 
-# L-BFGS at the defaults of scipy's L-BFGS-B, as constants: the memory,
-# the line search's sufficient-decrease, curvature and interval
-# tolerances, its evaluation cap and largest step, the two convergence
+# L-BFGS as constants: the memory, the line search's sufficient-decrease
+# and curvature tolerances and its evaluation cap, the two convergence
 # tests (projected-gradient tolerance, and factr = 1e7 times the machine
-# epsilon on the relative decrease) and the run's evaluation cap.
+# epsilon on the relative decrease, L-BFGS-B's defaults) and the run's
+# evaluation cap.
 _LBFGS_MEMORY = 10
-_LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
+_LS_FTOL, _LS_GTOL = 1e-3, 0.9
 _LS_MAX_EVALS = 20
-_LS_STPMAX = 1e10
 _PGTOL = 1e-5
 _MAX_FEVALS = 15000
 _EPS = float(np.finfo(float).eps)
@@ -98,127 +97,28 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
-    """One safeguarded step of the Moré-Thuente line search, MINPACK-2's
-    ``dcstep``: from the best step ``stx``, the other end ``sty`` of the
-    interval and the trial ``stp`` (values ``f`` and slopes ``d`` at
-    each), the updated ``(stx, fx, dx, sty, fy, dy)``, the next trial
-    step, kept in ``[stpmin, stpmax]`` when nothing is bracketed, and
-    whether a minimizer is bracketed.
-
-    The four cases are the paper's (Moré & Thuente, ACM TOMS 20, 1994):
-    a higher value; slopes of opposite sign; a slope of the same sign
-    and smaller magnitude; and one whose magnitude does not decrease.
-    ``max(0, .)`` under the square roots only keeps rounding from taking
-    the square root of a negative number.
-    """
-    opposite = (dp < 0 < dx) or (dx < 0 < dp)
-
-    def gamma_of(theta, da, db):
-        s = max(abs(theta), abs(da), abs(db))
-        return s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
-
-    if fp > fx:
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        gamma = gamma_of(theta, dx, dp) * (-1.0 if stp < stx else 1.0)
-        stpc = stx + ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp) * (stp - stx)
-        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
-        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
-        brackt = True
-    elif opposite:
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        gamma = gamma_of(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
-        stpc = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx) * (stx - stp)
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
-        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-        brackt = True
-    elif abs(dp) < abs(dx):
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        gamma = gamma_of(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
-        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
-        if r < 0 and gamma != 0:
-            stpc = stp + r * (stx - stp)
-        else:
-            stpc = stpmax if stp > stx else stpmin
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
-        if brackt:
-            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
-            bound = stp + 0.66 * (sty - stp)
-            stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
-        else:
-            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-            stpf = min(max(stpf, stpmin), stpmax)
-    elif brackt:
-        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
-        gamma = gamma_of(theta, dy, dp) * (-1.0 if stp > sty else 1.0)
-        stpf = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy) * (sty - stp)
-    else:
-        stpf = stpmax if stp > stx else stpmin
-
-    if fp > fx:
-        sty, fy, dy = stp, fp, dp
-    else:
-        if opposite:
-            sty, fy, dy = stx, fx, dx
-        stx, fx, dx = stp, fp, dp
-    return stx, fx, dx, sty, fy, dy, stpf, brackt
-
-
 def _line_search(phi, f0, g0, stp):
-    """Moré-Thuente line search, MINPACK-2's ``dcsrch`` as L-BFGS-B runs
-    it: ``stpmin = 0``, ``stpmax = _LS_STPMAX`` and the tolerances
-    ``_LS_FTOL``, ``_LS_GTOL``, ``_LS_XTOL``.
+    """Bisection on the weak Wolfe conditions (Lewis & Overton, Math.
+    Program. 141, 2013), from the first trial step ``stp``.
 
     ``phi(t)`` returns ``(value, slope, payload)`` along the search line,
-    whose value and slope at 0 are ``f0`` and ``g0 < 0``; ``stp`` is the
-    first trial step.  Returns ``(step, payload)`` of the last
-    evaluation once it meets the strong Wolfe conditions, or once the
-    bracket cannot shrink further (dcsrch's warnings, which L-BFGS-B
-    accepts too), and None if neither happens within ``_LS_MAX_EVALS``
-    evaluations.
+    whose value and slope at 0 are ``f0`` and ``g0 < 0``.  A trial that
+    fails sufficient decrease (a NaN value fails too) becomes the upper
+    end of the bracket, one whose slope is still below ``_LS_GTOL * g0``
+    its lower end; the step doubles until an upper end is found, then
+    bisects.  Returns ``(step, payload)`` at the first trial that meets
+    both conditions, and None after ``_LS_MAX_EVALS`` evaluations.
     """
-    gtest = _LS_FTOL * g0
-    width, width1 = _LS_STPMAX, 2.0 * _LS_STPMAX
-    stx = sty = 0.0
-    fx = fy = f0
-    gx = gy = g0
-    stmin, stmax = 0.0, stp + 4.0 * stp
-    brackt, stage1 = False, True
+    lo, hi = 0.0, math.inf
     for _ in range(_LS_MAX_EVALS):
         f, g, payload = phi(stp)
-        ftest = f0 + stp * gtest
-        if stage1 and f <= ftest and g >= 0:
-            stage1 = False
-        if (
-            (brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax))
-            or (stp == _LS_STPMAX and f <= ftest and g <= gtest)
-            or (stp == 0.0 and (f > ftest or g >= gtest))
-            or (f <= ftest and abs(g) <= _LS_GTOL * -g0)
-        ):
+        if not f <= f0 + _LS_FTOL * stp * g0:
+            hi = stp
+        elif g < _LS_GTOL * g0:
+            lo = stp
+        else:
             return stp, payload
-        if stage1 and fx >= f > ftest:
-            # step on psi(t) = phi(t) - phi(0) - ftol t phi'(0), the
-            # function whose minimizer the interval holds in stage 1
-            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
-                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
-                stp, f - stp * gtest, g - gtest, brackt, stmin, stmax,
-            )
-            fx, fy = fxm + stx * gtest, fym + sty * gtest
-            gx, gy = gxm + gtest, gym + gtest
-        else:
-            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
-                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
-            )
-        if brackt:
-            if abs(sty - stx) >= 0.66 * width1:
-                stp = stx + 0.5 * (sty - stx)
-            width1, width = width, abs(sty - stx)
-            stmin, stmax = min(stx, sty), max(stx, sty)
-        else:
-            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
-        stp = min(max(stp, 0.0), _LS_STPMAX)
-        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax):
-            stp = stx  # no further progress: evaluate the best step again
+        stp = (lo + hi) / 2 if hi < math.inf else 2 * stp
     return None
 
 
@@ -239,8 +139,9 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
 
 
 def minimize(fun, x0: np.ndarray, max_iters: int):
-    """Minimize ``fun`` from ``x0`` by L-BFGS, the unconstrained iteration
-    of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) at scipy's defaults.
+    """Minimize ``fun`` from ``x0`` by L-BFGS, with the memory and the
+    stopping tests of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) at scipy's
+    defaults and the weak-Wolfe bisection of :func:`_line_search`.
 
     ``fun(x)`` returns ``(value, gradient, *extra)``.  The direction is
     ``-H g`` from the last ``_LBFGS_MEMORY`` pairs; the first line search
@@ -259,8 +160,7 @@ def minimize(fun, x0: np.ndarray, max_iters: int):
     fevals, last = 0, None
 
     def evaluate(x):
-        # a point equal to the last one reuses its evaluation, as scipy's
-        # wrapper does, so the counts agree with L-BFGS-B's
+        # a trial point that rounds to the last one evaluated reuses its evaluation
         nonlocal fevals, last
         if last is None or not np.array_equal(x, last[0]):
             fevals += 1
@@ -277,7 +177,7 @@ def minimize(fun, x0: np.ndarray, max_iters: int):
         f, g = now[0], now[1]
         d = _lbfgs_direction(g, pairs)
         slope = g @ d
-        step = min(1.0 / np.linalg.norm(d), _LS_STPMAX) if iterations == 0 else 1.0
+        step = 1.0 / np.linalg.norm(d) if iterations == 0 else 1.0
 
         def along(t, x=x, d=d):
             point = x + t * d

@@ -58,6 +58,8 @@ class PhotonicSpace(HilbertSpace):
 
     def __init__(self, paths, internal_dim: int):
         paths = tuple(str(p) for p in paths)
+        if not paths:
+            raise ValueError("a photonic space needs at least one path")
         if len(set(paths)) != len(paths):
             raise ValueError(f"path labels must be unique, got {paths}")
         if int(internal_dim) < 1:

@@ -215,8 +215,13 @@ class TestRunCommand:
             (["--u", "ry:-inf"], "slot 'U': angle in gate spec 'ry:-inf' must be finite"),
             (["--u", "rz:nan"], "slot 'U': angle in gate spec 'rz:nan' must be finite"),
             (["--u", "x", "--psi=1e200,0,0,0"], "--psi entries are too large to normalize"),
+            (["--u", "x", "--psi=a,0,0,0"], "--psi entries must be numbers, got 'a,0,0,0'"),
+            (["--u", "x", "--psi="], "--psi entries must be numbers, got ''"),
         ],
-        ids=["inf-literal", "overflowing-literal", "rx-inf", "ry-minus-inf", "rz-nan", "huge-psi"],
+        ids=[
+            "inf-literal", "overflowing-literal", "rx-inf", "ry-minus-inf", "rz-nan", "huge-psi",
+            "non-numeric-psi", "empty-psi",
+        ],
     )
     def test_a_non_finite_or_overflowing_value_exits_2_without_warnings(
         self, tmp_path, capsys, argv, error

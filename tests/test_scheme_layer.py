@@ -100,6 +100,7 @@ def test_trap_space_stores_the_cutoff_its_mode_factor_has():
             "path labels must be unique, got ('u', 'u')",
         ),
         (lambda: photonic.PhotonicSpace(("u",), 0), "internal dimension must be at least 1"),
+        (lambda: photonic.PhotonicSpace((), 2), "a photonic space needs at least one path"),
     ],
 )
 def test_scheme_spaces_check_their_own_arguments(build, message):
