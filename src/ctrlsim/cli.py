@@ -112,15 +112,17 @@ def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
         print(text)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)), suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text + "\n")
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {out_path!r}: {exc.strerror or exc}") from exc
         raise
 
 

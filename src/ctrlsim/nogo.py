@@ -155,17 +155,14 @@ def minimize(fun, x0: np.ndarray, max_iters: int):
 
     Returns ``(x, evaluation, iterations, fevals, converged)``, where
     ``evaluation`` is ``fun``'s return at the point ``x`` it ends on, so
-    that point is never evaluated twice.
+    the caller never evaluates that point again.
     """
-    fevals, last = 0, None
+    fevals = 0
 
     def evaluate(x):
-        # a trial point that rounds to the last one evaluated reuses its evaluation
-        nonlocal fevals, last
-        if last is None or not np.array_equal(x, last[0]):
-            fevals += 1
-            last = x, fun(x)
-        return last[1]
+        nonlocal fevals
+        fevals += 1
+        return fun(x)
 
     x = np.array(x0, dtype=float)
     now = evaluate(x)
@@ -220,33 +217,23 @@ def _generator_maps(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The map from a real parameter vector of length ``dim**2`` to a
     Hermitian generator, and its adjoint, as real matrices ``(to_h, back)``.
 
-    The first ``dim`` parameters fill the diagonal; the rest fill the real
-    and then the imaginary parts of the strict upper triangle, in
-    ``np.triu_indices`` order.  ``(vec @ to_h).view(complex128)`` is the
-    flattened generator of ``vec``; for a flattened complex ``c``,
-    ``c.view(float64) @ back`` is the ``g`` with ``g . dvec = 2 Re
-    sum(conj(c) * 1j * dH)``.  Columns of ``to_h`` and rows of ``back``
-    come in (Re, Im) pairs, the layout of complex128.  Every nonzero is
-    ``±1`` or ``±2``, with at most one per column of ``to_h`` and two per
-    column of ``back``, so both products are exact.
+    ``basis[p]`` is the generator of the unit vector ``e_p``: the first
+    ``dim`` parameters fill the diagonal, the rest the real and then the
+    imaginary parts of the strict upper triangle, in ``np.triu_indices``
+    order.  ``(vec @ to_h).view(complex128)`` is the flattened generator
+    of ``vec``; for a flattened complex ``c``, ``(c.view(float64) @
+    back)[p]`` is ``2 Re sum(conj(c) * 1j * basis[p])``.  Every entry is
+    0, ±1 or ±2, two nonzeros a column at most: both products are exact.
     """
-    iu = np.triu_indices(dim, k=1)
-    n_off = iu[0].size
-    re = np.diag(np.arange(dim))
-    im = np.zeros((dim, dim), dtype=re.dtype)
-    sign = np.zeros((dim, dim))
-    re[iu] = re.T[iu] = dim + np.arange(n_off)
-    im[iu] = im.T[iu] = dim + n_off + np.arange(n_off)
-    sign[iu], sign.T[iu] = 1.0, -1.0
-    re, im, sign = re.reshape(-1), im.reshape(-1), sign.reshape(-1)
-    entries = np.arange(dim * dim)
-    to_h = np.zeros((dim * dim, dim * dim, 2))
-    to_h[re, entries, 0] = 1.0
-    to_h[im, entries, 1] = sign
-    back = np.zeros((dim * dim, 2, dim * dim))
-    back[entries, 0, im] = -2.0 * sign
-    back[entries, 1, re] = 2.0
-    out = (to_h.reshape(dim * dim, -1), back.reshape(-1, dim * dim))
+    rows, cols = np.triu_indices(dim, k=1)
+    re = dim + np.arange(rows.size)
+    im = re + rows.size
+    basis = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    basis[range(dim), range(dim), range(dim)] = 1
+    basis[re, rows, cols] = basis[re, cols, rows] = 1
+    basis.imag[im, rows, cols], basis.imag[im, cols, rows] = 1, -1
+    flat = basis.reshape(dim * dim, -1)
+    out = (flat.view(np.float64), np.ascontiguousarray((2j * flat).view(np.float64).T))
     for arr in out:
         arr.setflags(write=False)
     return out

@@ -518,6 +518,28 @@ class TestNogoCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--preset", "ctrl-u", "--u", "x"],
+        ["emit-scheme", "--preset", "ctrl-u"],
+        ["nogo", "--kind", "ctrl-u", "--restarts", "1", "--samples", "1", "--max-iters", "5"],
+    ],
+    ids=["run", "emit-scheme", "nogo"],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/r.json", "No such file or directory"), ("taken", "Is a directory")],
+)
+def test_a_failed_write_names_the_given_path(tmp_path, capsys, argv, target, reason):
+    # "taken" is a directory: the temporary file is written, then os.replace fails
+    (tmp_path / "taken").mkdir()
+    out = str(tmp_path / target)
+    assert run_cli(*argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out!r}: {reason}\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 # Each size's first large allocation exceeds the 128 TiB user address space,
 # so it fails at once whatever the overcommit setting; the run sizes are the
 # smallest round ones that do (149 TiB), which keeps their vectors small.

@@ -555,11 +555,12 @@ class TestMinimize:
         return 0.5 * x @ self.A @ x - self.B @ x, self.A @ x - self.B, "extra"
 
     def test_a_convex_quadratic_converges_on_the_gradient(self):
+        calls = []
         x, (f, g, extra), iterations, fevals, converged = nogo.minimize(
-            self.quadratic, np.zeros(4), 100
+            lambda x: calls.append(x) or self.quadratic(x), np.zeros(4), 100
         )
         assert converged and np.max(np.abs(g)) <= 1e-5
-        assert 0 < iterations < fevals
+        assert 0 < iterations < fevals == len(calls)
         np.testing.assert_allclose(x, np.linalg.solve(self.A, self.B), atol=1e-5)
         # the evaluation handed back is the one at the point handed back
         assert (f, extra) == self.quadratic(x)[::2] and np.array_equal(g, self.quadratic(x)[1])
@@ -592,8 +593,9 @@ class TestMinimize:
         # L-BFGS-B, unbounded at its defaults
         fun, x0 = L_BFGS_B_PROBLEMS[name]
         ref = scipy_minimize(fun, x0, jac=True, method="L-BFGS-B")
-        x, (f, _), _, _, converged = nogo.minimize(fun, x0, 15000)
-        assert converged and ref.success
+        calls = []
+        x, (f, _), _, fevals, converged = nogo.minimize(lambda x: calls.append(x) or fun(x), x0, 15000)
+        assert converged and ref.success and fevals == len(calls)
         np.testing.assert_allclose(x, ref.x, rtol=0, atol=1e-5)
         assert f == fun(x)[0]
 
