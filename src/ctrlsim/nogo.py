@@ -22,15 +22,16 @@ the two structures as table rows, and the unknown operations are always
 take.
 
 One kernel, :func:`_objective`, computes the search's fidelities and
-gradient with matmuls alone: the samples are the rows of one state
-matrix, and :func:`_prepare_samples` builds every sample's matrices
-once per search.  ``tests/reference.py`` composes the same circuit one
-sample at a time with scipy's ``expm`` and is the independent check on
-it.
+gradient with matmuls alone, in a value pass and a gradient pass run
+only on request: the samples are the rows of one state matrix, and
+:func:`_prepare_samples` builds every sample's matrices once per
+search.  ``tests/reference.py`` composes the same circuit one sample at
+a time with scipy's ``expm`` and is the independent check on it.
 
 Each restart maximizes the softmin with :func:`minimize`, a numpy
 L-BFGS with L-BFGS-B's memory and stopping tests and a bisection line
-search on the weak Wolfe conditions.  The package needs numpy alone:
+search on the weak Wolfe conditions; it skips the gradient pass at a
+trial that fails sufficient decrease.  The package needs numpy alone:
 scipy is imported only by :func:`expm`, which nothing in the package
 calls, and by the tests, which check the kernel against it and compare
 :func:`minimize`'s end points with scipy's L-BFGS-B.
@@ -101,23 +102,27 @@ def _line_search(phi, f0, g0, stp):
     """Bisection on the weak Wolfe conditions (Lewis & Overton, Math.
     Program. 141, 2013), from the first trial step ``stp``.
 
-    ``phi(t)`` returns ``(value, slope, payload)`` along the search line,
-    whose value and slope at 0 are ``f0`` and ``g0 < 0``.  A trial that
-    fails sufficient decrease (a NaN value fails too) becomes the upper
-    end of the bracket, one whose slope is still below ``_LS_GTOL * g0``
-    its lower end; the step doubles until an upper end is found, then
-    bisects.  Returns ``(step, payload)`` at the first trial that meets
-    both conditions, and None after ``_LS_MAX_EVALS`` evaluations.
+    ``phi(t)`` returns ``(value, slope)`` along the search line, whose
+    value and slope at 0 are ``f0`` and ``g0 < 0``; ``slope()`` returns
+    ``(derivative, payload)`` at ``t``, and is called only for a trial that
+    meets sufficient decrease.  A trial that fails it (a NaN value fails
+    too) becomes the upper end of the bracket, one whose derivative is
+    still below ``_LS_GTOL * g0`` its lower end; the step doubles until an
+    upper end is found, then bisects.  Returns ``(step, payload)`` at the
+    first trial that meets both conditions, and None after
+    ``_LS_MAX_EVALS`` evaluations.
     """
     lo, hi = 0.0, math.inf
     for _ in range(_LS_MAX_EVALS):
-        f, g, payload = phi(stp)
+        f, slope = phi(stp)
         if not f <= f0 + _LS_FTOL * stp * g0:
             hi = stp
-        elif g < _LS_GTOL * g0:
-            lo = stp
         else:
-            return stp, payload
+            g, payload = slope()
+            if g < _LS_GTOL * g0:
+                lo = stp
+            else:
+                return stp, payload
         stp = (lo + hi) / 2 if hi < math.inf else 2 * stp
     return None
 
@@ -128,13 +133,13 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     q = -g
     alphas = []
     for s, y, rho in reversed(pairs):
-        alphas.append(rho * (s @ q))
+        alphas.append(rho * s.dot(q))
         q -= alphas[-1] * y
     if pairs:
         s, y, rho = pairs[-1]
-        q /= rho * (y @ y)
+        q /= rho * y.dot(y)
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * (y @ q)) * s
+        q += (alpha - rho * y.dot(q)) * s
     return q
 
 
@@ -143,19 +148,22 @@ def minimize(fun, x0: np.ndarray, max_iters: int):
     stopping tests of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) at scipy's
     defaults and the weak-Wolfe bisection of :func:`_line_search`.
 
-    ``fun(x)`` returns ``(value, gradient, *extra)``.  The direction is
-    ``-H g`` from the last ``_LBFGS_MEMORY`` pairs; the first line search
-    starts at step ``1 / |d|``, later ones at 1.  A pair whose ``s.y`` is
-    not above ``eps * (-g.s)`` is not stored.  A failed line search
-    restarts from the last point with an empty memory, or ends the run
-    when the memory is already empty.  The run converges when ``max|g|
-    <= _PGTOL`` or the relative decrease of an iteration is at most
-    ``_REL_DECREASE``, and stops unconverged after ``max_iters``
-    iterations.
+    ``fun(x)`` returns ``(value, gradient, *extra)``, where ``gradient()``
+    returns the gradient at ``x``.  It is called once at the start point
+    and once at each line-search trial that meets sufficient decrease,
+    and never at a trial that fails it.  The direction is ``-H g`` from
+    the last ``_LBFGS_MEMORY`` pairs; the first line search starts at
+    step ``1 / |d|``, later ones at 1.  A pair whose ``s.y`` is not above
+    ``eps * (-g.s)`` is not stored.  A failed line search restarts from
+    the last point with an empty memory, or ends the run when the memory
+    is already empty.  The run converges when ``max|g| <= _PGTOL`` or the
+    relative decrease of an iteration is at most ``_REL_DECREASE``, and
+    stops unconverged after ``max_iters`` iterations.
 
     Returns ``(x, evaluation, iterations, fevals, converged)``, where
-    ``evaluation`` is ``fun``'s return at the point ``x`` it ends on, so
-    the caller never evaluates that point again.
+    ``evaluation`` is ``(value, gradient array, *extra)`` at the point
+    ``x`` it ends on, so the caller never evaluates that point again, and
+    ``fevals`` counts the calls of ``fun``.
     """
     fevals = 0
 
@@ -165,21 +173,27 @@ def minimize(fun, x0: np.ndarray, max_iters: int):
         return fun(x)
 
     x = np.array(x0, dtype=float)
-    now = evaluate(x)
-    if np.max(np.abs(now[1])) <= _PGTOL:
+    value, gradient, *extra = evaluate(x)
+    now = (value, gradient(), *extra)
+    if np.abs(now[1]).max() <= _PGTOL:
         return x, now, 0, fevals, True
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     iterations = 0
     while True:
         f, g = now[0], now[1]
         d = _lbfgs_direction(g, pairs)
-        slope = g @ d
+        slope = g.dot(d)
         step = 1.0 / np.linalg.norm(d) if iterations == 0 else 1.0
 
         def along(t, x=x, d=d):
             point = x + t * d
-            out = evaluate(point)
-            return out[0], out[1] @ d, (point, out)
+            value, gradient, *extra = evaluate(point)
+
+            def derivative():
+                out = (value, gradient(), *extra)
+                return out[1].dot(d), (point, out)
+
+            return value, derivative
 
         found = _line_search(along, f, slope, step) if slope < 0 else None
         if found is None:
@@ -191,12 +205,12 @@ def minimize(fun, x0: np.ndarray, max_iters: int):
         iterations += 1
         if iterations >= max_iters or fevals > _MAX_FEVALS:
             return x, now, iterations, fevals, False
-        if np.max(np.abs(now[1])) <= _PGTOL:
+        if np.abs(now[1]).max() <= _PGTOL:
             return x, now, iterations, fevals, True
         if f - now[0] <= _REL_DECREASE * max(abs(f), abs(now[0]), 1.0):
             return x, now, iterations, fevals, True
         s, y = step * d, now[1] - g
-        sy = s @ y
+        sy = s.dot(y)
         if sy > _EPS * -(step * slope):
             pairs.append((s, y, 1.0 / sy))
             del pairs[:-_LBFGS_MEMORY]
@@ -305,95 +319,112 @@ def _prepare_samples(kind: str, dim: int, samples):
     """Hoist the sample-dependent matrices out of the search loop; every
     binding passes the schemes' slot check here, once per search.
 
-    Returns the bound slots stacked as ``(S, n_insertions, d, d)`` in
-    insertion order and the conjugated controlled targets ``(S, cs,
-    cs)``, the only place the target matrix is assembled.  The targets
-    are built for all samples at once, from the same branch products as
-    :func:`control_branches`, stacked: each branch is written into its
-    diagonal block of one zeroed array, and the whole stack passes one
-    unitarity check at ``DEFAULT_TOL``.
+    Returns the layouts :func:`_objective` reads: the bound slots as
+    ``(n_insertions, S, d, d)``, one contiguous stack per insertion in
+    insertion order, and the adjoints ``T^dag`` of the controlled targets
+    ``T`` as ``(S, cs, cs)``.  This is the only place the target matrix is
+    assembled.  The targets are built for all samples at once, from the
+    same branch products as :func:`control_branches`, stacked: each branch
+    is written into its diagonal block of one zeroed array, and the whole
+    stack passes one unitarity check at ``DEFAULT_TOL``.
     """
     if not samples:
         raise ValueError("sample set must be non-empty")
     slots = TASKS[kind][0]
-    oracles = np.array([[_slot_binding(s, slot, dim) for slot in slots] for s in samples])
-    by_slot = {s: oracles[:, k] for k, s in enumerate(slots)}
-    targets = np.zeros((len(oracles), 2 * dim, 2 * dim), dtype=np.complex128)
-    for c, branch in enumerate(_branch_products(kind, by_slot, dim)):
+    bound = np.array([[_slot_binding(s, slot, dim) for slot in slots] for s in samples])
+    oracles = np.ascontiguousarray(bound.swapaxes(0, 1))
+    targets = np.zeros((len(samples), 2 * dim, 2 * dim), dtype=np.complex128)
+    for c, branch in enumerate(_branch_products(kind, dict(zip(slots, oracles)), dim)):
         targets[:, c * dim : (c + 1) * dim, c * dim : (c + 1) * dim] = branch
     dev = _unitary_deviation(targets)
     if not dev <= DEFAULT_TOL:  # written to fail on NaN
         raise ValueError(f"control target deviates from unitary by {dev:.3e} (tol {DEFAULT_TOL})")
-    return oracles, targets.conj()
+    return oracles, np.ascontiguousarray(targets.conj().swapaxes(-1, -2))
 
 
 def _objective(kind: str, ancilla_dim: int, system_dim: int, x, prepared):
     """Search objective at one parameter point ``x``: ``(softmin,
-    gradient, fidelities)``.
+    gradient, fidelities)`` from the value pass, where ``gradient()`` runs
+    the gradient pass and returns the exact gradient of ``softmin`` in ``x``.
 
     ``fidelities`` are the per-sample process fidelities of the realized
     channel against the targets of :func:`_prepare_samples`, which
     ``tests/reference.py`` recomputes from a basis-enumeration Choi
     matrix; ``softmin`` smooths their minimum at temperature
-    ``_SOFTMIN_BETA`` and ``gradient`` is its exact gradient in ``x``.
+    ``_SOFTMIN_BETA``.
 
     Every contraction is a matmul.  Only the ancilla-|0> columns are
     propagated, for all samples at once, as the rows of one
     ``(S cs, D)`` state matrix: row (sample, input column), column
-    (block, system).  A slot is ``rows @ G^T``, an insertion
-    ``1_ac x O`` is ``rows.reshape(S, cs 2a, d) @ O^T`` per sample, and
-    the input of each slot is kept.  The adjoint pass runs the same rows
-    back through ``conj(G)`` and ``conj(O)``, and reaches the generators
-    through the eigendecomposition of the slot gates: for ``S = V e^{iw}
-    V^dag``, ``dS = V (Phi o V^dag i dH V) V^dag`` with ``Phi_jk =
-    e^{i(w_j+w_k)/2} sinc((w_j - w_k) / 2 pi)``, which holds at
+    (block, system).  A slot is ``rows @ G^T`` and an insertion
+    ``1_ac x O`` is ``rows.reshape(S, cs 2a, d) @ O^T`` per sample, except
+    the first: its input is the same for all samples, so it is one GEMM
+    ``(cs 2a, d) @ (d, S d)`` against every oracle side by side.  The
+    input of each slot is kept.  The gradient pass carries the conjugate
+    of the adjoint rows, so it runs back through ``G`` and ``O``
+    themselves, and the first insertion's adjoint is one GEMM ``(cs 2a,
+    S d) @ (S d, d)`` that also sums over the samples.  It reaches the
+    generators through the eigendecomposition of the slot gates: for
+    ``S = V e^{iw} V^dag``, ``dS = V (Phi o V^dag i dH V) V^dag`` with
+    ``Phi_jk = e^{i(w_j+w_k)/2} sin(x_jk) / x_jk``, ``x_jk = (w_j - w_k) /
+    2``, and ``sin(x) / x`` read as 1 at ``x = 0``, which holds at
     degenerate spectra too.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (n := param_count(kind, ancilla_dim, system_dim),):
         raise ValueError(f"expected {n} search parameters for {kind}, got shape {x.shape}")
     _require_finite(x)
-    oracles, targets = prepared
-    d, cs, n_samples = system_dim, 2 * system_dim, len(oracles)
-    full_dim = ancilla_dim * cs
+    oracles, targets_dag = prepared
+    d, cs, n_samples = system_dim, 2 * system_dim, len(targets_dag)
+    full_dim, width = ancilla_dim * cs, 2 * ancilla_dim * cs
+    first = oracles[0].reshape(-1, d)  # row (sample, i): O_sample[i]
     w, v, slots = _slot_matrices(kind, full_dim, x)
     n_slots = len(slots)
-    targets_t = targets.swapaxes(-1, -2)
 
     # forward: the input of slot k >= 1 is the output of insertion k
-    rows = slots[0, :, :cs].T
-    inputs = []
-    for k in range(1, n_slots):
-        rows = rows.reshape(-1, 2 * ancilla_dim * cs, d) @ oracles[:, k - 1].swapaxes(-1, -2)
-        inputs.append(rows.reshape(n_samples * cs, full_dim))
+    rows = slots[0, :, :cs].T.reshape(width, d) @ first.T
+    inputs = [rows.reshape(width, n_samples, d).swapaxes(0, 1).reshape(-1, full_dim)]
+    rows = inputs[0] @ slots[1].T
+    for k in range(2, n_slots):
+        rows = rows.reshape(n_samples, width, d) @ oracles[k - 1].swapaxes(-1, -2)
+        inputs.append(rows.reshape(-1, full_dim))
         rows = inputs[-1] @ slots[k].T
     # Kraus operator m of sample s is rows[(s, j), (m, i)] at entry (i, j),
-    # so its overlap with the target is one product with targets_t
+    # so its overlap with the target is one product with T^dag
     kraus_t = rows.reshape(n_samples, cs, ancilla_dim, cs).transpose(0, 2, 1, 3)
-    overlaps = kraus_t.reshape(n_samples, ancilla_dim, -1) @ targets_t.reshape(n_samples, -1, 1)
+    overlaps = kraus_t.reshape(n_samples, ancilla_dim, -1) @ targets_dag.reshape(n_samples, -1, 1)
     overlaps = overlaps[..., 0]
-    fid = np.sum(np.abs(overlaps) ** 2, axis=-1) / (cs * cs)
-    weights = np.exp(-_SOFTMIN_BETA * (fid - fid.min()))
-    softmin = fid.min() - np.log(weights.sum()) / _SOFTMIN_BETA
-    weights /= weights.sum()
+    fid = (np.abs(overlaps) ** 2).sum(axis=-1) / (cs * cs)
+    low = fid.min()
+    weights = np.exp(-_SOFTMIN_BETA * (fid - low))
+    total = weights.sum()
+    softmin = low - np.log(total) / _SOFTMIN_BETA
 
-    # adjoint: lam holds dF/d conj(rows); grads[k] is dF/d conj(slot k)
-    coef = weights[:, None] * overlaps / (cs * cs)
-    lam = (coef[:, None, :, None] * targets_t.conj()[:, :, None, :]).reshape(-1, full_dim)
-    grads = np.zeros_like(slots)
-    for k in range(n_slots - 1, 0, -1):
-        grads[k] = lam.T @ inputs[k - 1].conj()
-        lam = (lam @ slots[k].conj()).reshape(n_samples, -1, d) @ oracles[:, k - 1].conj()
-        lam = lam.reshape(-1, full_dim)
-    grads[0, :, :cs] = lam.reshape(n_samples, cs, full_dim).sum(axis=0).T
+    def gradient():
+        # adjoint, conjugated: mu is conj(dF/d conj(rows)), and
+        # grads[k] is conj(dF/d conj(slot k)) until the last line
+        coef = (weights / (total * cs * cs))[:, None] * overlaps.conj()
+        mu = (coef[:, None, :, None] * targets_dag[:, :, None, :]).reshape(-1, full_dim)
+        grads = np.zeros(slots.shape, dtype=slots.dtype)
+        for k in range(n_slots - 1, 1, -1):
+            grads[k] = mu.T @ inputs[k - 1]
+            mu = (mu @ slots[k]).reshape(n_samples, width, d) @ oracles[k - 1]
+            mu = mu.reshape(-1, full_dim)
+        grads[1] = mu.T @ inputs[0]
+        mu = (mu @ slots[1]).reshape(n_samples, width, d).swapaxes(0, 1).reshape(width, -1) @ first
+        grads[0, :, :cs] = mu.reshape(cs, full_dim).T
+        grads = grads.conj()
 
-    # through the eigendecomposition to the Hermitian generators
-    vh = v.conj().swapaxes(-1, -2)
-    half = np.exp(-0.5j * w)
-    phi_conj = half[:, :, None] * half[:, None, :]
-    phi_conj *= np.sinc((w[:, :, None] - w[:, None, :]) / (2 * np.pi))
-    c = (v @ (phi_conj * (vh @ grads @ v)) @ vh).reshape(n_slots, -1)
-    return softmin, (c.view(np.float64) @ _generator_maps(full_dim)[1]).reshape(-1), fid
+        # through the eigendecomposition to the Hermitian generators
+        vh = v.conj().swapaxes(-1, -2)
+        half = np.exp(-0.5j * w)
+        phi_conj = half[:, :, None] * half[:, None, :]
+        gap = (w[:, :, None] - w[:, None, :]) / 2
+        phi_conj *= np.divide(np.sin(gap), gap, out=np.ones(gap.shape), where=gap != 0)
+        c = (v @ (phi_conj * (vh @ grads @ v)) @ vh).reshape(n_slots, -1)
+        return (c.view(np.float64) @ _generator_maps(full_dim)[1]).reshape(-1)
+
+    return softmin, gradient, fid
 
 
 @dataclass(frozen=True)
@@ -468,8 +499,8 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
     config = replace(config, sample_count=len(samples))
 
     def negated(x: np.ndarray):
-        softmin, grad, fid = _objective(kind, a, d, x, prepared)
-        return -softmin, -grad, fid
+        softmin, gradient, fid = _objective(kind, a, d, x, prepared)
+        return -softmin, lambda: -gradient(), fid
 
     results: list[RestartResult] = []
     for r in range(config.restarts):
@@ -541,8 +572,8 @@ def _scheme_fidelity(kind: str, scheme, bindings) -> float:
     :func:`_prepare_samples`: the kernel's overlap ``|Tr(T^dag B)|^2 /
     D^2``, which is 1 iff ``B`` is ``T`` up to a global phase."""
     block = _logical_block(scheme, bindings)
-    _, (target_conj,) = _prepare_samples(kind, len(block) // 2, (bindings,))
-    return float(abs(np.sum(target_conj * block)) ** 2 / block.size)
+    _, (target_dag,) = _prepare_samples(kind, len(block) // 2, (bindings,))
+    return float(abs(np.sum(target_dag.T * block)) ** 2 / block.size)
 
 
 def oracle_sanity(sample_count: int = 32, internal_dim: int = 2, seed: int = 1234) -> float:

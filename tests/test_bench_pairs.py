@@ -54,3 +54,32 @@ def test_resolved_flips_where_the_parent_iqr_passes_the_bound(low, high, spread,
 def test_iqr_of_a_single_run_is_zero():
     assert bench_pairs.iqr([3.5]) == 0.0
     assert bench_pairs.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0
+
+
+def _verdicts(parent, change):
+    summary = bench_pairs.summarize(_runs(parent, change), SPEC)
+    return summary["ops_per_s"]["verdict"], summary["op_p50_ms"]["verdict"]
+
+
+@pytest.mark.parametrize("wins,verdict", [(9, "gain"), (8, "-")])
+def test_a_gain_needs_nine_of_ten_pairs(wins, verdict):
+    # the change's medians beat an IQR of 0 either way; only the wins differ
+    change = [(110, 1.0)] * wins + [(90, 3.0)] * (10 - wins)
+    assert _verdicts([(100, 2.0)] * 10, change) == (verdict, verdict)
+
+
+@pytest.mark.parametrize("ops,p50,verdict", [(106.0, 1.0, "-"), (106.5, 0.9, "gain")])
+def test_a_gain_needs_the_median_past_the_parent_iqr(ops, p50, verdict):
+    # parent medians 102 and 2.0 with IQRs 4 and 1: a change of exactly the
+    # IQR is no gain, in either direction of better
+    parent = [(100, 1.5)] * 5 + [(104, 2.5)] * 5
+    summary = bench_pairs.summarize(_runs(parent, [(ops, p50)] * 10), SPEC)
+    assert summary["ops_per_s"]["parent_iqr"] == 4.0 and summary["op_p50_ms"]["parent_iqr"] == 1.0
+    assert summary["ops_per_s"]["wins"] == summary["op_p50_ms"]["wins"] == 10
+    assert summary["ops_per_s"]["verdict"] == summary["op_p50_ms"]["verdict"] == verdict
+
+
+@pytest.mark.parametrize("ops,p50,verdict", [(75.0, 2.5, "-"), (74.9, 2.51, "regressed")])
+def test_a_regression_is_a_median_worse_by_more_than_the_bound(ops, p50, verdict):
+    # a 25 % bound on parent medians 100 and 2.0
+    assert _verdicts([(100, 2.0)] * 10, [(ops, p50)] * 10) == (verdict, verdict)

@@ -36,7 +36,7 @@ def kernel_fidelities(kind, a, d, x, samples):
 def prepared_target(kind, bindings):
     """The controlled target ``_prepare_samples`` builds for one sample."""
     dim = next(iter(bindings.values())).dim
-    return _prepare_samples(kind, dim, (bindings,))[1][0].conj()
+    return _prepare_samples(kind, dim, (bindings,))[1][0].conj().T
 
 
 def reference_fidelity(kind, a, d, x, bindings):
@@ -132,7 +132,7 @@ class TestRealizedChannel:
         choi = choi_oracle(kind, 2, 2, x, bindings)
         for _ in range(4):
             v = haar_unitary(4, rng)
-            fid = _objective(kind, 2, 2, x, (oracles, v.entries.conj()[None]))[2]
+            fid = _objective(kind, 2, 2, x, (oracles, v.entries.conj().T[None]))[2]
             assert abs(fid[0] - process_fidelity(choi, v.entries)) < 1e-13
 
     def test_oracle_dimension_mismatch(self):
@@ -285,14 +285,14 @@ class TestBatchedKernel:
         # a one-sample call does, and the softmin weights the gradients
         rng, samples, prepared = random_problem(kind, a, d, 5, 21)
         x = rng.normal(size=param_count(kind, a, d))
-        softmin, grad, fid = _objective(kind, a, d, x, prepared)
+        softmin, gradient, fid = _objective(kind, a, d, x, prepared)
         assert fid.shape == (5,)
         single = [_objective(kind, a, d, x, _prepare_samples(kind, d, (s,))) for s in samples]
         assert np.allclose([f[0] for _, _, f in single], fid, rtol=0, atol=1e-14)
         assert np.allclose([v for v, _, _ in single], fid, rtol=0, atol=1e-14)
         weights = np.exp(-nogo._SOFTMIN_BETA * (fid - fid.min()))
         weights /= weights.sum()
-        assert np.allclose(grad, weights @ [g for _, g, _ in single], rtol=0, atol=1e-13)
+        assert np.allclose(gradient(), weights @ [g() for _, g, _ in single], rtol=0, atol=1e-13)
         assert fid.min() - np.log(5) / nogo._SOFTMIN_BETA <= softmin <= fid.min()
         for s, value in zip(samples, fid):
             assert abs(value - reference_fidelity(kind, a, d, x, s)) < 1e-13
@@ -300,12 +300,15 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_prepared_targets_are_the_target_unitaries(self, kind, d):
-        # all samples' targets at once are exactly the reference's, conjugated
+        # all samples' targets at once are exactly the reference's adjoints,
+        # and the oracles are stacked per insertion, in slot order
         _, samples, (oracles, targets) = random_problem(kind, 1, d, 6, 22)
-        assert oracles.shape == (6, len(nogo.TASKS[kind][0]), d, d)
+        assert oracles.shape == (len(nogo.TASKS[kind][0]), 6, d, d)
         assert targets.shape == (6, 2 * d, 2 * d)
         for s, got in zip(samples, targets):
-            assert np.array_equal(got, target_unitary(kind, s).conj())
+            assert np.array_equal(got, target_unitary(kind, s).conj().T)
+        for k, slot in enumerate(nogo.TASKS[kind][0]):
+            assert np.array_equal(oracles[k], [s[slot].entries for s in samples])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
@@ -390,6 +393,71 @@ class TestOptimize:
             assert (got.converged, got.iterations, got.fevals) == (converged, iterations, fevals)
             assert abs(got.value - value) < 1e-6
 
+    # Restart 0 of the benchmark's `search` pool, nogo seeds 0-6 at a = d = 2,
+    # 16 samples and 1500 iterations: (iterations, evaluations, converged,
+    # value), so a faster search cannot come from doing less work.
+    POOL_PIN = {
+        CTRL_U: [
+            (13, 15, True, 0.265135544110385),
+            (44, 71, True, 0.23171591789096674),
+            (21, 29, True, 0.17642651736391524),
+            (12, 14, True, 0.26433345823118604),
+            (13, 25, True, 0.27055959087576714),
+            (17, 20, True, 0.1978530978496824),
+            (12, 16, True, 0.20069533377484786),
+        ],
+        SWITCH: [
+            (70, 83, True, 0.38455794751595657),
+            (51, 62, True, 0.4843960474558301),
+            (24, 28, True, 0.5174138110330805),
+            (35, 44, True, 0.5676961253439188),
+            (42, 45, True, 0.339733490112821),
+            (47, 54, True, 0.5242920706722013),
+            (52, 65, True, 0.4651555183774052),
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", [CTRL_U, SWITCH])
+    def test_search_pool_pin(self, kind):
+        for seed, (iterations, fevals, converged, value) in enumerate(self.POOL_PIN[kind]):
+            cfg = SearchConfig(restarts=1, max_iters=1500, sample_count=16, seed=seed)
+            (got,) = optimize(kind, cfg).restarts
+            assert (got.iterations, got.fevals, got.converged) == (iterations, fevals, converged)
+            assert abs(got.value - value) < 1e-9
+
+    def test_gradient_passes_skip_trials_that_fail_sufficient_decrease(self, monkeypatch):
+        # pool ctrl-u seed 1 (71 evaluations over 44 iterations): every value
+        # pass runs the gradient pass once, except at the line-search trials
+        # that fail sufficient decrease, where it never runs
+        passes = {"value": 0, "gradient": 0, "failed": 0}
+        objective, line_search = nogo._objective, nogo._line_search
+
+        def counted_objective(*args):
+            softmin, gradient, fid = objective(*args)
+            passes["value"] += 1
+
+            def counted_gradient():
+                passes["gradient"] += 1
+                return gradient()
+
+            return softmin, counted_gradient, fid
+
+        def counted_line_search(phi, f0, g0, stp):
+            def counted_phi(t):
+                f, slope = phi(t)
+                passes["failed"] += not f <= f0 + nogo._LS_FTOL * t * g0
+                return f, slope
+
+            return line_search(counted_phi, f0, g0, stp)
+
+        monkeypatch.setattr(nogo, "_objective", counted_objective)
+        monkeypatch.setattr(nogo, "_line_search", counted_line_search)
+        cfg = SearchConfig(restarts=1, max_iters=1500, sample_count=16, seed=1)
+        (got,) = optimize(CTRL_U, cfg).restarts
+        assert (got.iterations, got.fevals) == (44, 71) == self.POOL_PIN[CTRL_U][1][:2]
+        assert passes["value"] == 71 and passes["failed"] > 0
+        assert passes["gradient"] == passes["value"] - passes["failed"]
+
     def test_report_counts_the_samples_it_scored(self):
         # supplied samples, more than the config asks for, are what the
         # report counts; drawn samples leave the config as it was
@@ -439,7 +507,7 @@ class TestOptimize:
                 return _objective(kind, a, d, x, prepared)[0]
 
             for x in (rng.normal(scale=0.7, size=n), np.zeros(n)):
-                grad = _objective(kind, a, d, x, prepared)[1]
+                grad = _objective(kind, a, d, x, prepared)[1]()
                 central = [(f(x + eps * e) - f(x - eps * e)) / (2 * eps) for e in np.eye(n)]
                 assert np.max(np.abs(grad - central)) < 1e-9
                 direction = grad / np.linalg.norm(grad)
@@ -547,12 +615,23 @@ def _more_thuente():
 MORE_THUENTE = _more_thuente()
 
 
+def lazy(fun):
+    """``fun``, which returns ``(value, gradient)``, in the form
+    ``nogo.minimize`` takes: the gradient handed back as a function."""
+
+    def wrapped(x):
+        value, grad = fun(x)
+        return value, lambda: grad
+
+    return wrapped
+
+
 class TestMinimize:
     A = np.diag([1.0, 2.0, 3.0, 4.0])
     B = np.array([1.0, 2.0, 3.0, 4.0])
 
     def quadratic(self, x):
-        return 0.5 * x @ self.A @ x - self.B @ x, self.A @ x - self.B, "extra"
+        return 0.5 * x @ self.A @ x - self.B @ x, lambda: self.A @ x - self.B, "extra"
 
     def test_a_convex_quadratic_converges_on_the_gradient(self):
         calls = []
@@ -563,7 +642,7 @@ class TestMinimize:
         assert 0 < iterations < fevals == len(calls)
         np.testing.assert_allclose(x, np.linalg.solve(self.A, self.B), atol=1e-5)
         # the evaluation handed back is the one at the point handed back
-        assert (f, extra) == self.quadratic(x)[::2] and np.array_equal(g, self.quadratic(x)[1])
+        assert (f, extra) == self.quadratic(x)[::2] and np.array_equal(g, self.quadratic(x)[1]())
 
     def test_the_iteration_cap_stops_it_unconverged(self):
         _, (_, g, _), iterations, _, converged = nogo.minimize(self.quadratic, np.zeros(4), 3)
@@ -580,8 +659,8 @@ class TestMinimize:
         prepared = _prepare_samples(SWITCH, 2, draw_samples(SWITCH, 2, 4, rng))
 
         def negated(x):
-            softmin, grad, fid = _objective(SWITCH, 1, 2, x, prepared)
-            return -softmin, -grad, fid
+            softmin, gradient, fid = _objective(SWITCH, 1, 2, x, prepared)
+            return -softmin, lambda: -gradient(), fid
 
         first, second = (nogo.minimize(negated, x0, 200) for _ in range(2))
         assert np.array_equal(first[0], second[0]) and first[2:] == second[2:]
@@ -594,14 +673,17 @@ class TestMinimize:
         fun, x0 = L_BFGS_B_PROBLEMS[name]
         ref = scipy_minimize(fun, x0, jac=True, method="L-BFGS-B")
         calls = []
-        x, (f, _), _, fevals, converged = nogo.minimize(lambda x: calls.append(x) or fun(x), x0, 15000)
+        x, (f, _), _, fevals, converged = nogo.minimize(
+            lambda x: calls.append(x) or lazy(fun)(x), x0, 15000
+        )
         assert converged and ref.success and fevals == len(calls)
         np.testing.assert_allclose(x, ref.x, rtol=0, atol=1e-5)
         assert f == fun(x)[0]
 
     def test_pathological_problems_end_as_pinned(self):
         def run(name):
-            return nogo.minimize(*PATHOLOGICAL_PROBLEMS[name], 15000)[2:]
+            fun, x0 = PATHOLOGICAL_PROBLEMS[name]
+            return nogo.minimize(lazy(fun), x0, 15000)[2:]
 
         iterations, _, converged = run("wrong-gradient")
         assert (iterations, converged) == (1, False)
@@ -618,7 +700,7 @@ class TestMinimize:
         for first in (1e-5, 1e-3, 1e-2, 1e-1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e3, 1e5):
             trials = []
             step, _ = nogo._line_search(
-                lambda t: trials.append(t) or (phi(t), dphi(t), None), f0, g0, first
+                lambda t: trials.append(t) or (phi(t), lambda: (dphi(t), None)), f0, g0, first
             )
             assert step == trials[-1] and len(trials) <= nogo._LS_MAX_EVALS
             assert phi(step) <= f0 + nogo._LS_FTOL * step * g0
@@ -632,7 +714,10 @@ class TestMinimize:
 
         def search():
             return nogo._line_search(
-                lambda t: trials.append(t) or (phi(t), dphi(t), None), phi(0.0), dphi(0.0), 1e-5
+                lambda t: trials.append(t) or (phi(t), lambda: (dphi(t), None)),
+                phi(0.0),
+                dphi(0.0),
+                1e-5,
             )
 
         assert search() is not None and len(trials) == nogo._LS_MAX_EVALS == 20
@@ -642,14 +727,19 @@ class TestMinimize:
     def test_the_trials_double_until_a_cap_then_bisect(self):
         # MORE_THUENTE[1] from step 1: 1 lacks curvature, 2 lacks decrease,
         # 1.5 lacks curvature and 1.75 meets both; a NaN value caps the
-        # bracket as a failed decrease does
+        # bracket as a failed decrease does, and the slope is read only at
+        # the trials with sufficient decrease
         phi, dphi = MORE_THUENTE[1]
         for value in (phi, lambda t: np.nan if t >= 2 else phi(t)):
-            trials = []
-            found = nogo._line_search(
-                lambda t: trials.append(t) or (value(t), dphi(t), t), phi(0.0), dphi(0.0), 1.0
-            )
+            trials, slopes = [], []
+
+            def along(t):
+                trials.append(t)
+                return value(t), lambda: slopes.append(t) or (dphi(t), t)
+
+            found = nogo._line_search(along, phi(0.0), dphi(0.0), 1.0)
             assert trials == [1.0, 2.0, 1.5, 1.75] and found == (1.75, 1.75)
+            assert slopes == [1.0, 1.5, 1.75]
 
 
 class TestOracleSanity:

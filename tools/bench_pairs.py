@@ -10,10 +10,18 @@ workload W, N times per tree, parent and change alternating and each
 pair starting with the tree that went second in the pair before.
 
 Per end-to-end metric of BENCHMARK.json the script prints both medians,
-the parent's interquartile range and the number of pairs in which the
-change did better.  A metric whose parent IQR is wider than its bound
-times the parent median is marked ``unresolved``: one median pair
-cannot tell a move of the bound's size from noise.
+the parent's interquartile range, the number of pairs in which the
+change did better and a verdict:
+
+* ``gain``: the change did better in at least 9 of 10 pairs, and its
+  median beats the parent's by more than the parent's IQR;
+* ``regressed``: the change's median is worse than the parent's by more
+  than the metric's bound times the parent median's magnitude;
+* ``-``: neither.
+
+A metric whose parent IQR is wider than its bound times the parent
+median is also marked ``unresolved``: one median pair cannot tell a move
+of the bound's size from noise.
 
 The result goes to ``--out`` under the workload's name, together with
 the machine record of the change's runs; a file that already exists
@@ -70,21 +78,34 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def verdict(parent_median: float, change_median: float, parent_iqr: float, wins: int,
+            pairs: int, bound: float, higher: bool) -> str:
+    """``gain``, ``regressed`` or ``-``, by the rules in the module docstring."""
+    better_by = (change_median - parent_median) if higher else (parent_median - change_median)
+    if 10 * wins >= 9 * pairs and better_by > parent_iqr:
+        return "gain"
+    if -better_by > bound * abs(parent_median):
+        return "regressed"
+    return "-"
+
+
 def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict:
-    """Per end-to-end metric: both medians, the parent IQR, wins of the change."""
+    """Per end-to-end metric: both medians, the parent IQR, wins of the
+    change and its verdict."""
     out = {}
     for m in spec:
         name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-        med = statistics.median(parent)
+        med, change_med = statistics.median(parent), statistics.median(change)
         spread = iqr(parent)
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": bound,
-            "parent_median": med, "change_median": statistics.median(change),
+            "parent_median": med, "change_median": change_med,
             "parent_iqr": spread, "wins": wins, "pairs": len(parent),
             "resolved": spread <= bound * abs(med),
+            "verdict": verdict(med, change_med, spread, wins, len(parent), bound, higher),
         }
     return out
 
@@ -118,11 +139,11 @@ def main() -> int:
 
     summary = summarize(runs, spec)
     print(f"# {args.workload}: {args.pairs} pairs of {args.seconds:g} s against {commit[:12]}")
-    print(f"{'metric':<18}{'parent':>12}{'change':>12}{'parent IQR':>12}{'wins':>7}")
+    print(f"{'metric':<18}{'parent':>12}{'change':>12}{'parent IQR':>12}{'wins':>7}  verdict")
     for name, s in summary.items():
         flag = "" if s["resolved"] else f"  unresolved (IQR above {s['bound']:.0%} bound)"
         print(f"{name:<18}{s['parent_median']:>12.6g}{s['change_median']:>12.6g}"
-              f"{s['parent_iqr']:>12.4g}{s['wins']:>4}/{s['pairs']}{flag}")
+              f"{s['parent_iqr']:>12.4g}{s['wins']:>4}/{s['pairs']}  {s['verdict']:<9}{flag}")
 
     record = {}
     if os.path.exists(args.out):

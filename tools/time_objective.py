@@ -1,20 +1,25 @@
-"""Time one search-objective evaluation, split into its layers.
+"""Time one search-objective evaluation, split into its passes.
 
     python tools/time_objective.py [--src DIR] [--repeats N]
 
 Times ``nogo._objective`` for ``ctrl_u`` and ``switch`` at ancilla and
 system dimension 2 with 16 Haar samples, at one fixed random parameter
-point per kind.  One round times ``CALLS`` consecutive calls of the
-whole objective and ``CALLS`` calls of its slot-unitary construction
-(``nogo._slot_matrices``); the rest of a call, the sample contraction
-and the gradient, is the difference of the two within the round.  The
-script prints, per kind, the median and the interquartile range over
-N rounds of the microseconds per call of each part.
+point per kind.  One round times ``CALLS`` consecutive calls of each
+part: the slot gates (``nogo._slot_matrices``), the value pass (one
+``_objective`` call: slot gates, forward rows, overlaps and softmin) and
+the gradient pass (the ``gradient()`` that call returns: adjoint rows
+and the chain through the eigendecomposition).  The script prints, per
+kind, the median and the interquartile range over N rounds of the
+microseconds per call of each part.  An evaluation costs ``value_us +
+grad_us`` at a line-search trial that meets sufficient decrease and
+``value_us`` at one that fails it; ``value_us`` includes ``slots_us``.
 
 ``--src DIR`` loads the ``ctrlsim`` package under DIR (for instance the
 ``src`` of an exported parent commit) next to this checkout's, and the
 rounds alternate between the two trees, so both see the same machine
-state.  Run as a script, BLAS uses one thread unless
+state.  A tree whose ``_objective`` returns the gradient as an array
+computes it in its one pass: its ``value_us`` is the whole evaluation
+and its ``grad_us`` is 0.  Run as a script, BLAS uses one thread unless
 ``OPENBLAS_NUM_THREADS`` is set.
 """
 
@@ -64,13 +69,14 @@ def per_call_us(fn, args) -> float:
     return (time.perf_counter() - start) / CALLS * 1e6
 
 
-def time_round(nogo, args) -> tuple[float, float]:
-    """(whole call, slot unitaries) in microseconds per call."""
+def time_round(nogo, args) -> tuple[float, float, float]:
+    """(slot gates, value pass, gradient pass) in microseconds per call."""
     kind, _, _, x, _ = args
     full_dim = 2 * ANCILLA * SYSTEM
-    call = per_call_us(nogo._objective, args)
     slots = per_call_us(nogo._slot_matrices, (kind, full_dim, x))
-    return call, slots
+    value = per_call_us(nogo._objective, args)
+    gradient = nogo._objective(*args)[1]
+    return slots, value, per_call_us(gradient, ()) if callable(gradient) else 0.0
 
 
 def iqr(values: list[float]) -> float:
@@ -95,18 +101,17 @@ def main(argv=None) -> int:
           f"of {CALLS} calls, numpy {np.__version__}, "
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
           f"{os.cpu_count()} CPUs")
-    print(f"{'kind':<8}{'tree':<7}{'call_us':>10}{'IQR':>8}{'slots_us':>10}{'IQR':>8}"
-          f"{'rest_us':>10}{'IQR':>8}")
+    print(f"{'kind':<8}{'tree':<7}{'slots_us':>10}{'IQR':>8}{'value_us':>10}{'IQR':>8}"
+          f"{'grad_us':>10}{'IQR':>8}")
     for kind in ("ctrl_u", "switch"):
         calls = {tree: problem(nogo, kind) for tree, nogo in trees.items()}
-        rounds: dict[str, list[tuple[float, float]]] = {tree: [] for tree in trees}
+        rounds: dict[str, list[tuple[float, float, float]]] = {tree: [] for tree in trees}
         for r in range(args.repeats):
             order = list(trees) if r % 2 == 0 else list(reversed(trees))
             for tree in order:
                 rounds[tree].append(time_round(trees[tree], calls[tree]))
         for tree, times in rounds.items():
-            parts = ([c for c, _ in times], [s for _, s in times], [c - s for c, s in times])
-            cells = "".join(f"{statistics.median(p):>10.1f}{iqr(p):>8.1f}" for p in parts)
+            cells = "".join(f"{statistics.median(p):>10.1f}{iqr(p):>8.1f}" for p in zip(*times))
             print(f"{kind:<8}{tree:<7}{cells}")
     return 0
 
