@@ -1,6 +1,7 @@
 """Simulation toolkit for adding quantum control to unknown operations.
 
-Subpackages by concern:
+Modules by concern; each name is imported from its module, and the
+package itself holds only ``__version__``:
 
 * :mod:`ctrlsim.hilbert` - composite spaces, states, operators,
   subsystem and direct-sum embeddings, fidelities, partial trace, Haar
@@ -17,38 +18,3 @@ Subpackages by concern:
 """
 
 __version__ = "0.1.0"
-
-from .hilbert import (
-    DEFAULT_TOL,
-    DensityMatrix,
-    DirectSumBlock,
-    HilbertSpace,
-    Operator,
-    StateVector,
-    basis_state,
-    fidelity_mixed,
-    fidelity_pure,
-    haar_unitary,
-    partial_trace,
-    random_unit_vector,
-    subspace_embed,
-    subsystem_embed,
-)
-
-__all__ = [
-    "DEFAULT_TOL",
-    "DensityMatrix",
-    "DirectSumBlock",
-    "HilbertSpace",
-    "Operator",
-    "StateVector",
-    "__version__",
-    "basis_state",
-    "fidelity_mixed",
-    "fidelity_pure",
-    "haar_unitary",
-    "partial_trace",
-    "random_unit_vector",
-    "subspace_embed",
-    "subsystem_embed",
-]

@@ -376,14 +376,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="report path (default stdout)")
     run.set_defaults(func=_cmd_run)
 
+    search = nogo.SearchConfig()
     ng = sub.add_parser("nogo", help="search fixed circuits for the controlled target")
     ng.add_argument("--kind", choices=("ctrl-u", "switch"), required=True)
-    ng.add_argument("--dim", type=int, default=2)
-    ng.add_argument("--ancilla", type=int, default=2)
-    ng.add_argument("--restarts", type=int, default=20)
-    ng.add_argument("--samples", type=int, default=16)
-    ng.add_argument("--max-iters", type=int, default=1500)
-    ng.add_argument("--seed", type=int, default=0)
+    ng.add_argument("--dim", type=int, default=search.system_dim)
+    ng.add_argument("--ancilla", type=int, default=search.ancilla_dim)
+    ng.add_argument("--restarts", type=int, default=search.restarts)
+    ng.add_argument("--samples", type=int, default=search.sample_count)
+    ng.add_argument("--max-iters", type=int, default=search.max_iters)
+    ng.add_argument("--seed", type=int, default=search.seed)
     ng.add_argument("--out", help="report path (default stdout)")
     ng.set_defaults(func=_cmd_nogo)
 

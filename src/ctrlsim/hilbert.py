@@ -13,7 +13,11 @@ Conventions used by every module in this package:
   supplied by the caller.  Nothing in this package touches numpy's
   global random state.  ``_haar_stack`` draws any stack of Haar
   unitaries at once, the same matrices as consecutive
-  :func:`haar_unitary` calls on the generator.
+  :func:`haar_unitary` calls on the generator, and ``_haar_operators``
+  hands a drawn stack out as ``Operator`` objects after one check of
+  the whole stack, the only way to an ``Operator`` that skips its own.
+* Each public name is imported from this module; the package
+  ``ctrlsim`` re-exports none of them.
 * A public name here has a caller in the package, the demos, the tools
   or the benchmark; a state is evolved as
   ``StateVector(space, op.entries @ psi.amps)``.
@@ -69,6 +73,14 @@ def _unitary_deviation(m: np.ndarray) -> float:
     n = g.shape[-1]
     g.reshape(*g.shape[:-2], n * n)[..., :: n + 1] -= 1  # the diagonal, in place
     return float(np.max(np.abs(g)))
+
+
+def _require_unitary(m: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every matrix of ``m`` is unitary to within
+    ``DEFAULT_TOL``."""
+    dev = _unitary_deviation(m)
+    if not dev <= DEFAULT_TOL:  # written to fail on NaN
+        raise ValueError(f"matrix claimed unitary but deviates by {dev:.3e} (tol {DEFAULT_TOL})")
 
 
 @dataclass(frozen=True)
@@ -169,9 +181,7 @@ class Operator:
 
     def __init__(self, entries):
         m = _as_complex_matrix(entries)
-        dev = _unitary_deviation(m)
-        if not dev <= DEFAULT_TOL:  # written to fail on NaN
-            raise ValueError(f"matrix claimed unitary but deviates by {dev:.3e} (tol {DEFAULT_TOL})")
+        _require_unitary(m)
         m.setflags(write=False)
         self.entries = m
 
@@ -424,7 +434,22 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> Operator:
     """Haar-distributed random unitary (QR with phase-fixed diagonal)."""
-    return Operator(_haar_stack((), dim, rng))
+    return _haar_operators((), dim, rng)[0]
+
+
+def _haar_operators(shape: tuple[int, ...], dim: int, rng: np.random.Generator) -> list[Operator]:
+    """The unitaries of one :func:`_haar_stack` draw as :class:`Operator`
+    objects, in C order.  The whole stack passes one unitarity check, so each
+    ``Operator`` holds a read-only view of it and is not checked again."""
+    stack = _haar_stack(shape, dim, rng)
+    _require_unitary(stack)
+    stack.setflags(write=False)
+    ops = []
+    for m in stack.reshape(-1, dim, dim):
+        op = Operator.__new__(Operator)
+        op.entries = m
+        ops.append(op)
+    return ops
 
 
 def _haar_stack(shape: tuple[int, ...], dim: int, rng: np.random.Generator) -> np.ndarray:

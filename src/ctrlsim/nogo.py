@@ -25,8 +25,11 @@ One kernel, :func:`_objective`, computes the search's fidelities and
 gradient with matmuls alone, in a value pass and a gradient pass run
 only on request: the samples are the rows of one state matrix, and
 :func:`_prepare_samples` builds every sample's matrices once per
-search.  ``tests/reference.py`` composes the same circuit one sample at
-a time with scipy's ``expm`` and is the independent check on it.
+search.  One cached map per dimension, :func:`_generator_map`, takes
+parameters to Hermitian generators, and its transpose takes the
+gradient pass back onto the parameters.  ``tests/reference.py``
+composes the same circuit one sample at a time with scipy's ``expm``
+and is the independent check on it.
 
 Each restart maximizes the softmin with :func:`minimize`, a numpy
 L-BFGS with L-BFGS-B's memory and stopping tests and a bisection line
@@ -49,8 +52,7 @@ import numpy as np
 from . import ion, photonic
 from .hilbert import (
     DEFAULT_TOL,
-    Operator,
-    _haar_stack,
+    _haar_operators,
     _slot_binding,
     _unitary_deviation,
     haar_unitary,  # unused here; the benchmark's span tracer wraps nogo.haar_unitary
@@ -227,17 +229,17 @@ def _n_slots(kind: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _generator_maps(dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _generator_map(dim: int) -> np.ndarray:
     """The map from a real parameter vector of length ``dim**2`` to a
-    Hermitian generator, and its adjoint, as real matrices ``(to_h, back)``.
+    Hermitian generator, as a read-only real matrix ``to_h``.
 
     ``basis[p]`` is the generator of the unit vector ``e_p``: the first
     ``dim`` parameters fill the diagonal, the rest the real and then the
     imaginary parts of the strict upper triangle, in ``np.triu_indices``
     order.  ``(vec @ to_h).view(complex128)`` is the flattened generator
-    of ``vec``; for a flattened complex ``c``, ``(c.view(float64) @
-    back)[p]`` is ``2 Re sum(conj(c) * 1j * basis[p])``.  Every entry is
-    0, ±1 or ±2, two nonzeros a column at most: both products are exact.
+    of ``vec``; for a flattened complex ``c``, ``((-2j * c).view(float64)
+    @ to_h.T)[p]`` is ``2 Re sum(conj(c) * 1j * basis[p])``.  Every entry
+    is 0 or ±1, two nonzeros a row at most: both products are exact.
     """
     rows, cols = np.triu_indices(dim, k=1)
     re = dim + np.arange(rows.size)
@@ -246,11 +248,9 @@ def _generator_maps(dim: int) -> tuple[np.ndarray, np.ndarray]:
     basis[range(dim), range(dim), range(dim)] = 1
     basis[re, rows, cols] = basis[re, cols, rows] = 1
     basis.imag[im, rows, cols], basis.imag[im, cols, rows] = 1, -1
-    flat = basis.reshape(dim * dim, -1)
-    out = (flat.view(np.float64), np.ascontiguousarray((2j * flat).view(np.float64).T))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    to_h = basis.reshape(dim * dim, -1).view(np.float64)
+    to_h.setflags(write=False)
+    return to_h
 
 
 def _require_finite(params: np.ndarray) -> None:
@@ -270,7 +270,7 @@ def _slot_matrices(kind: str, full_dim: int, params: np.ndarray):
     check on it.
     """
     vec = np.reshape(params, (*np.shape(params)[:-1], _n_slots(kind), full_dim * full_dim))
-    gens = (vec @ _generator_maps(full_dim)[0]).view(np.complex128)
+    gens = (vec @ _generator_map(full_dim)).view(np.complex128)
     w, v = np.linalg.eigh(gens.reshape(*vec.shape[:-1], full_dim, full_dim))
     return w, v, (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -307,12 +307,13 @@ def draw_samples(kind: str, system_dim: int, count: int, rng: np.random.Generato
     """Haar sample set standing in for the unknown operations: ``count``
     bindings of the kind's slots, drawn in slot order from one stacked
     draw, the same matrices as one :func:`haar_unitary` per slot per
-    sample; each binding is an :class:`Operator`, checked as such."""
+    sample.  Each binding is an :class:`Operator`; the ``(count, n_slots,
+    d, d)`` stack passes one unitarity check for all of them."""
     slots = TASKS[_check_kind(kind)][0]
     if count < 1:
         raise ValueError("sample count must be positive")
-    mats = _haar_stack((count, len(slots)), system_dim, rng)
-    return tuple({s: Operator(m) for s, m in zip(slots, sample)} for sample in mats)
+    ops = iter(_haar_operators((count, len(slots)), system_dim, rng))
+    return tuple({s: next(ops) for s in slots} for _ in range(count))
 
 
 def _prepare_samples(kind: str, dim: int, samples):
@@ -422,7 +423,7 @@ def _objective(kind: str, ancilla_dim: int, system_dim: int, x, prepared):
         gap = (w[:, :, None] - w[:, None, :]) / 2
         phi_conj *= np.divide(np.sin(gap), gap, out=np.ones(gap.shape), where=gap != 0)
         c = (v @ (phi_conj * (vh @ grads @ v)) @ vh).reshape(n_slots, -1)
-        return (c.view(np.float64) @ _generator_maps(full_dim)[1]).reshape(-1)
+        return ((-2j * c).view(np.float64) @ _generator_map(full_dim).T).reshape(-1)
 
     return softmin, gradient, fid
 
@@ -504,8 +505,7 @@ def optimize(kind: str, config: SearchConfig, samples=None) -> SearchReport:
 
     results: list[RestartResult] = []
     for r in range(config.restarts):
-        rng = np.random.default_rng((config.seed, r))
-        x0 = np.zeros(n) if r == 0 else rng.normal(0.0, 0.7, size=n)
+        x0 = np.random.default_rng((config.seed, r)).normal(0.0, 0.7, size=n) if r else np.zeros(n)
         _, (_, _, fid), iterations, fevals, converged = minimize(negated, x0, config.max_iters)
         results.append(
             RestartResult(

@@ -508,6 +508,18 @@ class TestNogoCommand:
         assert 0.0 <= report["best_worst_case_fidelity"] <= 1.0 + 1e-8
         assert len(report["restarts"]) == 1
 
+    def test_defaults_are_the_search_config_defaults(self):
+        args = _build_parser().parse_args(["nogo", "--kind", "ctrl-u"])
+        parsed = nogo.SearchConfig(
+            restarts=args.restarts,
+            max_iters=args.max_iters,
+            sample_count=args.samples,
+            seed=args.seed,
+            system_dim=args.dim,
+            ancilla_dim=args.ancilla,
+        )
+        assert parsed == nogo.SearchConfig()
+
     def test_bad_config_exits_2(self, tmp_path):
         assert run_cli("nogo", "--kind", "ctrl-u", "--restarts", "0") == 2
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize as scipy_minimize, rosen, rosen_der
 
-from ctrlsim import ion, nogo, photonic
+from ctrlsim import hilbert, ion, nogo, photonic
 from ctrlsim.hilbert import Operator, haar_unitary
 from ctrlsim.nogo import (
     CTRL_U,
@@ -323,6 +323,28 @@ class TestBatchedKernel:
                 assert isinstance(u, Operator)
                 assert u.entries.tobytes() == haar_unitary(d, rng).entries.tobytes()
 
+    def test_a_draw_passes_one_stacked_unitarity_check(self, monkeypatch):
+        # the whole (S, n_slots, d, d) stack is checked once, not each
+        # binding again, and a drawn stack that is not unitary still raises
+        calls = []
+        real = hilbert._unitary_deviation
+
+        def spy(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(hilbert, "_unitary_deviation", spy)
+        samples = draw_samples(SWITCH, 3, 5, np.random.default_rng(23))
+        assert calls == [(5, 2, 3, 3)]
+        for bindings in samples:
+            for u in bindings.values():
+                assert isinstance(u, Operator) and not u.entries.flags.writeable
+        monkeypatch.setattr(
+            hilbert, "_haar_stack", lambda shape, dim, rng: np.ones((*shape, dim, dim))
+        )
+        with pytest.raises(ValueError, match="unitary"):
+            draw_samples(CTRL_U, 2, 2, np.random.default_rng(23))
+
     def test_prepared_targets_pass_one_unitarity_check(self, monkeypatch):
         # one stacked check at DEFAULT_TOL covers every target
         calls = []
@@ -339,12 +361,14 @@ class TestBatchedKernel:
         with pytest.raises(ValueError, match="unitary"):
             _prepare_samples(CTRL_U, 2, draw_samples(CTRL_U, 2, 2, np.random.default_rng(23)))
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
     def test_generator_maps_are_exact(self, dim):
         # to_h reproduces hermitian_from_params, batch axes included, and
-        # back is its adjoint: on every unit parameter vector e_p,
-        # (c.view(float) @ back)[p] = 2 Re sum(conj(c) * i H(e_p))
-        to_h, back = nogo._generator_maps(dim)
+        # the kernel's back-map through to_h.T is its adjoint: on every
+        # unit parameter vector e_p,
+        # ((-2j c).view(float) @ to_h.T)[p] = 2 Re sum(conj(c) * i H(e_p))
+        to_h = nogo._generator_map(dim)
+        assert to_h.shape == (dim * dim, 2 * dim * dim) and not to_h.flags.writeable
         rng = np.random.default_rng(25)
         vecs = rng.normal(size=(3, 2, dim * dim))
         gens = (vecs @ to_h).view(np.complex128).reshape(3, 2, dim, dim)
@@ -352,7 +376,7 @@ class TestBatchedKernel:
         c = rng.normal(size=(4, dim * dim)) + 1j * rng.normal(size=(4, dim * dim))
         units = hermitian_from_params(np.eye(dim * dim), dim).reshape(dim * dim, -1)
         want = 2 * np.real(c.conj() @ (1j * units).T)
-        assert np.array_equal(c.view(np.float64) @ back, want)
+        assert np.array_equal((-2j * c).view(np.float64) @ to_h.T, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_kernel_rejects_non_finite(self, bad):

@@ -1,14 +1,14 @@
 """Every public name of ``ctrlsim`` has a caller outside the tests.
 
-A public module-level function or class of ``src/ctrlsim``, and every
-name in ``ctrlsim.__all__``, must be referenced (as a name or an
-attribute) somewhere in ``src/``, ``demos/``, ``tools/`` or
-``perfbench/``, outside its own definition.  Imports, ``__all__``
-strings and the tests do not count, so a helper that only the tests
+A public module-level function or class of ``src/ctrlsim`` must be
+referenced (as a name or an attribute) somewhere in ``src/``,
+``demos/``, ``tools/`` or ``perfbench/``, outside its own definition.
+Imports and the tests do not count, so a helper that only the tests
 call fails here.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import ctrlsim
@@ -46,14 +46,23 @@ def _public_definitions():
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     refs = _references()
-    defs = _public_definitions()
-    homes = dict(defs)
 
     def called(name, home):
         return any(n == name and (path, owner) != (home, name) for n, path, owner in refs)
 
-    names = defs + [(name, homes.get(name)) for name in ctrlsim.__all__]
     uncalled = sorted(
-        {f"{path.stem if path else 'ctrlsim'}.{name}" for name, path in names if not called(name, path)}
+        f"{path.stem}.{name}" for name, path in _public_definitions() if not called(name, path)
     )
     assert not uncalled, f"public names with no caller outside tests/: {uncalled}"
+
+
+def test_the_package_re_exports_no_name():
+    # each name has one import path, its module: the package holds only
+    # __version__ and the submodules Python sets on it
+    public = {
+        name
+        for name, value in vars(ctrlsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set()
+    assert ctrlsim.__version__ and not hasattr(ctrlsim, "__all__")

@@ -20,6 +20,6 @@ def test_one_round_per_tree_prints_every_part(capsys):
         ["ctrl_u", "this"], ["ctrl_u", "--src"], ["switch", "this"], ["switch", "--src"]
     ]
     for row in rows:
-        slots, slots_iqr, value, value_iqr, grad, grad_iqr = map(float, row[2:])
-        assert value > slots > 0 and grad > 0
-        assert slots_iqr == value_iqr == grad_iqr == 0.0
+        slots, slots_iqr, value, value_iqr, grad, grad_iqr, setup, setup_iqr = map(float, row[2:])
+        assert value > slots > 0 and grad > 0 and setup > 0
+        assert slots_iqr == value_iqr == grad_iqr == setup_iqr == 0.0

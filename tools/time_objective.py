@@ -8,11 +8,15 @@ point per kind.  One round times ``CALLS`` consecutive calls of each
 part: the slot gates (``nogo._slot_matrices``), the value pass (one
 ``_objective`` call: slot gates, forward rows, overlaps and softmin) and
 the gradient pass (the ``gradient()`` that call returns: adjoint rows
-and the chain through the eigendecomposition).  The script prints, per
-kind, the median and the interquartile range over N rounds of the
-microseconds per call of each part.  An evaluation costs ``value_us +
-grad_us`` at a line-search trial that meets sufficient decrease and
-``value_us`` at one that fails it; ``value_us`` includes ``slots_us``.
+and the chain through the eigendecomposition).  It also times a
+search's set-up, which runs once per search and not per evaluation:
+one ``nogo.draw_samples`` plus ``nogo._prepare_samples`` of its 16
+samples.  The script prints, per kind, the median and the interquartile
+range over N rounds of the microseconds per call of each part.  An
+evaluation costs ``value_us + grad_us`` at a line-search trial that
+meets sufficient decrease and ``value_us`` at one that fails it;
+``value_us`` includes ``slots_us``, and ``setup_us`` is apart from all
+three.
 
 ``--src DIR`` loads the ``ctrlsim`` package under DIR (for instance the
 ``src`` of an exported parent commit) next to this checkout's, and the
@@ -54,12 +58,17 @@ def load_nogo(src: str, name: str):
     return importlib.import_module(f"{name}.nogo")
 
 
+def set_up(nogo, kind: str, rng) -> tuple:
+    """A search's set-up: draw its samples and prepare them for the kernel."""
+    return nogo._prepare_samples(kind, SYSTEM, nogo.draw_samples(kind, SYSTEM, SAMPLES, rng))
+
+
 def problem(nogo, kind: str) -> tuple:
     """Arguments of one ``_objective`` call, the same for every tree."""
     rng = np.random.default_rng(0)
-    samples = nogo.draw_samples(kind, SYSTEM, SAMPLES, rng)
+    prepared = set_up(nogo, kind, rng)
     x = rng.normal(0.0, 0.7, size=nogo.param_count(kind, ANCILLA, SYSTEM))
-    return kind, ANCILLA, SYSTEM, x, nogo._prepare_samples(kind, SYSTEM, samples)
+    return kind, ANCILLA, SYSTEM, x, prepared
 
 
 def per_call_us(fn, args) -> float:
@@ -69,14 +78,15 @@ def per_call_us(fn, args) -> float:
     return (time.perf_counter() - start) / CALLS * 1e6
 
 
-def time_round(nogo, args) -> tuple[float, float, float]:
-    """(slot gates, value pass, gradient pass) in microseconds per call."""
+def time_round(nogo, args) -> tuple[float, float, float, float]:
+    """(slot gates, value pass, gradient pass, set-up) in microseconds per call."""
     kind, _, _, x, _ = args
     full_dim = 2 * ANCILLA * SYSTEM
     slots = per_call_us(nogo._slot_matrices, (kind, full_dim, x))
     value = per_call_us(nogo._objective, args)
     gradient = nogo._objective(*args)[1]
-    return slots, value, per_call_us(gradient, ()) if callable(gradient) else 0.0
+    grad = per_call_us(gradient, ()) if callable(gradient) else 0.0
+    return slots, value, grad, per_call_us(set_up, (nogo, kind, np.random.default_rng(0)))
 
 
 def iqr(values: list[float]) -> float:
@@ -102,10 +112,10 @@ def main(argv=None) -> int:
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
           f"{os.cpu_count()} CPUs")
     print(f"{'kind':<8}{'tree':<7}{'slots_us':>10}{'IQR':>8}{'value_us':>10}{'IQR':>8}"
-          f"{'grad_us':>10}{'IQR':>8}")
+          f"{'grad_us':>10}{'IQR':>8}{'setup_us':>10}{'IQR':>8}")
     for kind in ("ctrl_u", "switch"):
         calls = {tree: problem(nogo, kind) for tree, nogo in trees.items()}
-        rounds: dict[str, list[tuple[float, float, float]]] = {tree: [] for tree in trees}
+        rounds: dict[str, list[tuple[float, float, float, float]]] = {tree: [] for tree in trees}
         for r in range(args.repeats):
             order = list(trees) if r % 2 == 0 else list(reversed(trees))
             for tree in order:
