@@ -207,6 +207,9 @@ def _collect_bindings(args, slots, dim: int) -> tuple[dict[str, str], dict[str, 
     missing = set(slots) - set(specs)
     if missing:
         raise ValueError(f"missing gate bindings for slots: {sorted(missing)}")
+    unknown = set(specs) - set(slots)
+    if unknown:
+        raise ValueError(f"gate bindings for slots the scheme lacks: {sorted(unknown)}")
     gates = {}
     for slot in slots:
         try:

@@ -33,7 +33,9 @@ and is the independent check on it.
 
 Each restart maximizes the softmin with :func:`minimize`, a numpy
 L-BFGS with L-BFGS-B's memory and stopping tests and a bisection line
-search on the weak Wolfe conditions; it skips the gradient pass at a
+search on the weak Wolfe conditions.  Both call one function,
+``fun(point) -> (value, gradient, *extra)``; :func:`_line_search`
+evaluates its trial points itself and skips the gradient pass at a
 trial that fails sufficient decrease.  The package needs numpy alone:
 scipy is imported only by :func:`expm`, which nothing in the package
 calls, and by the tests, which check the kernel against it and compare
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial, reduce
 
@@ -100,33 +103,36 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def _line_search(phi, f0, g0, stp):
+def _line_search(fun, x, d, f0, g0, stp):
     """Bisection on the weak Wolfe conditions (Lewis & Overton, Math.
-    Program. 141, 2013), from the first trial step ``stp``.
+    Program. 141, 2013) along ``x + t d``, from the first trial step ``stp``.
 
-    ``phi(t)`` returns ``(value, slope)`` along the search line, whose
-    value and slope at 0 are ``f0`` and ``g0 < 0``; ``slope()`` returns
-    ``(derivative, payload)`` at ``t``, and is called only for a trial that
-    meets sufficient decrease.  A trial that fails it (a NaN value fails
-    too) becomes the upper end of the bracket, one whose derivative is
-    still below ``_LS_GTOL * g0`` its lower end; the step doubles until an
-    upper end is found, then bisects.  Returns ``(step, payload)`` at the
-    first trial that meets both conditions, and None after
-    ``_LS_MAX_EVALS`` evaluations.
+    ``fun`` is :func:`minimize`'s: each trial evaluates ``fun(x + stp *
+    d)``, and only a trial whose value meets sufficient decrease against
+    ``f0`` and the slope ``g0 = g.d < 0`` at 0 runs its ``gradient()``.  A
+    trial that fails it (a NaN value fails too) becomes the upper end of
+    the bracket, one whose slope ``gradient.d`` is still below ``_LS_GTOL *
+    g0`` its lower end (a NaN slope is not, so it ends the search); the
+    step doubles until an upper end is found, then bisects.  Returns
+    ``(found, evals)``: ``found`` is ``(step, point, (value, gradient
+    array, *extra))`` at the first trial that meets both conditions, or
+    None after ``_LS_MAX_EVALS`` trials, and ``evals`` counts the calls of
+    ``fun``.
     """
     lo, hi = 0.0, math.inf
-    for _ in range(_LS_MAX_EVALS):
-        f, slope = phi(stp)
-        if not f <= f0 + _LS_FTOL * stp * g0:
+    for evals in range(1, _LS_MAX_EVALS + 1):
+        point = x + stp * d
+        value, gradient, *extra = fun(point)
+        if not value <= f0 + _LS_FTOL * stp * g0:
             hi = stp
         else:
-            g, payload = slope()
-            if g < _LS_GTOL * g0:
+            now = (value, gradient(), *extra)
+            if now[1].dot(d) < _LS_GTOL * g0:
                 lo = stp
             else:
-                return stp, payload
+                return (stp, point, now), evals
         stp = (lo + hi) / 2 if hi < math.inf else 2 * stp
-    return None
+    return None, _LS_MAX_EVALS
 
 
 def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
@@ -151,59 +157,44 @@ def minimize(fun, x0: np.ndarray, max_iters: int):
     defaults and the weak-Wolfe bisection of :func:`_line_search`.
 
     ``fun(x)`` returns ``(value, gradient, *extra)``, where ``gradient()``
-    returns the gradient at ``x``.  It is called once at the start point
-    and once at each line-search trial that meets sufficient decrease,
-    and never at a trial that fails it.  The direction is ``-H g`` from
-    the last ``_LBFGS_MEMORY`` pairs; the first line search starts at
-    step ``1 / |d|``, later ones at 1.  A pair whose ``s.y`` is not above
-    ``eps * (-g.s)`` is not stored.  A failed line search restarts from
-    the last point with an empty memory, or ends the run when the memory
-    is already empty.  The run converges when ``max|g| <= _PGTOL`` or the
-    relative decrease of an iteration is at most ``_REL_DECREASE``, and
-    stops unconverged after ``max_iters`` iterations.
+    returns the gradient at ``x``.  :func:`minimize` calls it once at the
+    start point, and :func:`_line_search` at each trial point, which alone
+    decides when ``gradient()`` runs: at the start point and at each trial
+    that meets sufficient decrease, never at a trial that fails it.  The
+    direction is ``-H g`` from the last ``_LBFGS_MEMORY`` pairs; the first
+    line search starts at step ``1 / |d|``, later ones at 1.  A pair whose
+    ``s.y`` is not above ``eps * (-g.s)`` is not stored.  A failed line
+    search restarts from the last point with an empty memory, or ends the
+    run when the memory is already empty.  The run converges when
+    ``max|g| <= _PGTOL`` or the relative decrease of an iteration is at
+    most ``_REL_DECREASE``, and stops unconverged after ``max_iters``
+    iterations.
 
     Returns ``(x, evaluation, iterations, fevals, converged)``, where
     ``evaluation`` is ``(value, gradient array, *extra)`` at the point
     ``x`` it ends on, so the caller never evaluates that point again, and
     ``fevals`` counts the calls of ``fun``.
     """
-    fevals = 0
-
-    def evaluate(x):
-        nonlocal fevals
-        fevals += 1
-        return fun(x)
-
     x = np.array(x0, dtype=float)
-    value, gradient, *extra = evaluate(x)
-    now = (value, gradient(), *extra)
+    value, gradient, *extra = fun(x)
+    now, fevals = (value, gradient(), *extra), 1
     if np.abs(now[1]).max() <= _PGTOL:
         return x, now, 0, fevals, True
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_MEMORY)
     iterations = 0
     while True:
         f, g = now[0], now[1]
         d = _lbfgs_direction(g, pairs)
         slope = g.dot(d)
         step = 1.0 / np.linalg.norm(d) if iterations == 0 else 1.0
-
-        def along(t, x=x, d=d):
-            point = x + t * d
-            value, gradient, *extra = evaluate(point)
-
-            def derivative():
-                out = (value, gradient(), *extra)
-                return out[1].dot(d), (point, out)
-
-            return value, derivative
-
-        found = _line_search(along, f, slope, step) if slope < 0 else None
+        found, evals = _line_search(fun, x, d, f, slope, step) if slope < 0 else (None, 0)
+        fevals += evals
         if found is None:
             if not pairs:
                 return x, now, iterations, fevals, False
             pairs.clear()
             continue
-        step, (x, now) = found
+        step, x, now = found
         iterations += 1
         if iterations >= max_iters or fevals > _MAX_FEVALS:
             return x, now, iterations, fevals, False
@@ -215,7 +206,6 @@ def minimize(fun, x0: np.ndarray, max_iters: int):
         sy = s.dot(y)
         if sy > _EPS * -(step * slope):
             pairs.append((s, y, 1.0 / sy))
-            del pairs[:-_LBFGS_MEMORY]
 
 
 def _check_kind(kind: str) -> str:
@@ -443,6 +433,9 @@ class SearchConfig:
     ancilla_dim: int = 2
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         for name in ("restarts", "max_iters", "sample_count", "system_dim", "ancilla_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -585,6 +578,8 @@ def oracle_sanity(sample_count: int = 32, internal_dim: int = 2, seed: int = 123
     metric the search maximizes.  The direct-sum realizations are exact,
     so the result must be 1 up to rounding.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be positive, got {sample_count}")
     rng = np.random.default_rng(seed)
     schemes = (
         (CTRL_U, internal_dim, photonic.preset_ctrl_u(internal_dim)),

@@ -282,6 +282,23 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: slot 'U' is bound twice\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "preset, flags, unknown",
+        [
+            ("ctrl-u", ["--u", "x", "--bind", "W=notaspec"], "['W']"),
+            ("ctrl-u", ["--u", "x", "--ug", "h"], "['Ug']"),
+            ("ion-ctrl-u", ["--bind", "U=x", "--uf", "notaspec"], "['Uf']"),
+            ("ctrl-switch", ["--uf", "x", "--ug", "h", "--u", "z", "--bind", "V=i"], "['U', 'V']"),
+        ],
+        ids=["bind", "sugar", "ion", "two-unknown"],
+    )
+    def test_a_binding_for_a_slot_the_scheme_lacks_exits_2(self, tmp_path, capsys, preset, flags, unknown):
+        # one line names the unknown slots; their specs are never parsed
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--preset", preset, *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: gate bindings for slots the scheme lacks: {unknown}\n"
+        assert not out.exists()
+
     def test_fidelity_threshold_controls_exit_code(self, tmp_path, monkeypatch):
         # a target whose branches both leave the system alone: with U = X
         # on |0> and equal control amplitudes the output scores 1/4

@@ -466,13 +466,14 @@ class TestOptimize:
 
             return softmin, counted_gradient, fid
 
-        def counted_line_search(phi, f0, g0, stp):
-            def counted_phi(t):
-                f, slope = phi(t)
-                passes["failed"] += not f <= f0 + nogo._LS_FTOL * t * g0
-                return f, slope
+        def counted_line_search(fun, x, d, f0, g0, stp):
+            def counted_fun(point):
+                value, gradient, fid = fun(point)
+                t = (point - x).dot(d) / d.dot(d)  # the trial step, to rounding
+                passes["failed"] += not value <= f0 + nogo._LS_FTOL * t * g0
+                return value, gradient, fid
 
-            return line_search(counted_phi, f0, g0, stp)
+            return line_search(counted_fun, x, d, f0, g0, stp)
 
         monkeypatch.setattr(nogo, "_objective", counted_objective)
         monkeypatch.setattr(nogo, "_line_search", counted_line_search)
@@ -516,6 +517,10 @@ class TestOptimize:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             SearchConfig(seed=-1)
+        # a float or a bool is not an int, even where it would run
+        for name, value in (("max_iters", 3.5), ("restarts", True), ("restarts", 2.5), ("seed", 0.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+                SearchConfig(**{name: value})
 
     def test_gradient_matches_directional_difference(self):
         # the exact gradient against central differences of the softmin,
@@ -639,6 +644,27 @@ def _more_thuente():
 MORE_THUENTE = _more_thuente()
 
 
+def search_line(phi, dphi, first, trials, slopes=None):
+    """``nogo._line_search`` from the first trial step ``first`` along the
+    line ``x = [0]``, ``d = [1]``, where a 1-element point is its step:
+    ``phi`` and its derivative ``dphi`` as a ``nogo.minimize`` function.
+    ``trials`` collects the evaluated steps and ``slopes`` the steps whose
+    gradient is read."""
+
+    def fun(point):
+        (t,) = point
+        trials.append(t)
+
+        def gradient():
+            if slopes is not None:
+                slopes.append(t)
+            return np.array([dphi(t)])
+
+        return phi(t), gradient
+
+    return nogo._line_search(fun, np.zeros(1), np.ones(1), phi(0.0), dphi(0.0), first)
+
+
 def lazy(fun):
     """``fun``, which returns ``(value, gradient)``, in the form
     ``nogo.minimize`` takes: the gradient handed back as a function."""
@@ -723,30 +749,21 @@ class TestMinimize:
         f0, g0 = phi(0.0), dphi(0.0)
         for first in (1e-5, 1e-3, 1e-2, 1e-1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e3, 1e5):
             trials = []
-            step, _ = nogo._line_search(
-                lambda t: trials.append(t) or (phi(t), lambda: (dphi(t), None)), f0, g0, first
-            )
-            assert step == trials[-1] and len(trials) <= nogo._LS_MAX_EVALS
-            assert phi(step) <= f0 + nogo._LS_FTOL * step * g0
-            assert dphi(step) >= nogo._LS_GTOL * g0
+            (step, point, (f, g)), evals = search_line(phi, dphi, first, trials)
+            assert step == trials[-1] == point[0] and evals == len(trials) <= nogo._LS_MAX_EVALS
+            assert phi(step) == f <= f0 + nogo._LS_FTOL * step * g0
+            assert dphi(step) == g[0] >= nogo._LS_GTOL * g0
 
     def test_the_line_search_stops_at_its_evaluation_cap(self, monkeypatch):
         # MORE_THUENTE[1] from 1e-5 meets both conditions on the last
         # allowed evaluation, and one evaluation fewer finds no step
         phi, dphi = MORE_THUENTE[1]
         trials = []
-
-        def search():
-            return nogo._line_search(
-                lambda t: trials.append(t) or (phi(t), lambda: (dphi(t), None)),
-                phi(0.0),
-                dphi(0.0),
-                1e-5,
-            )
-
-        assert search() is not None and len(trials) == nogo._LS_MAX_EVALS == 20
+        found, evals = search_line(phi, dphi, 1e-5, trials)
+        assert found is not None and evals == len(trials) == nogo._LS_MAX_EVALS == 20
         monkeypatch.setattr(nogo, "_LS_MAX_EVALS", 19)
-        assert search() is None
+        trials.clear()
+        assert search_line(phi, dphi, 1e-5, trials) == (None, 19) and len(trials) == 19
 
     def test_the_trials_double_until_a_cap_then_bisect(self):
         # MORE_THUENTE[1] from step 1: 1 lacks curvature, 2 lacks decrease,
@@ -756,19 +773,20 @@ class TestMinimize:
         phi, dphi = MORE_THUENTE[1]
         for value in (phi, lambda t: np.nan if t >= 2 else phi(t)):
             trials, slopes = [], []
-
-            def along(t):
-                trials.append(t)
-                return value(t), lambda: slopes.append(t) or (dphi(t), t)
-
-            found = nogo._line_search(along, phi(0.0), dphi(0.0), 1.0)
-            assert trials == [1.0, 2.0, 1.5, 1.75] and found == (1.75, 1.75)
+            (step, point, (f, g)), evals = search_line(value, dphi, 1.0, trials, slopes)
+            assert trials == [1.0, 2.0, 1.5, 1.75] and evals == 4
+            assert (step, point[0], f, g[0]) == (1.75, 1.75, phi(1.75), dphi(1.75))
             assert slopes == [1.0, 1.5, 1.75]
 
 
 class TestOracleSanity:
     def test_exact_for_generic_samples(self):
         assert oracle_sanity(sample_count=8, internal_dim=2, seed=7) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_samples_is_no_evidence(self, count):
+        with pytest.raises(ValueError, match=f"sample_count must be positive, got {count}"):
+            oracle_sanity(sample_count=count)
 
     def test_degenerate_internal_dimension(self):
         # with d = 1 every unitary is a phase and control is trivial
