@@ -253,8 +253,8 @@ def _run(args, family: str, scheme, scheme_id: str, kind: str | None) -> tuple[d
 
     target = None
     if kind is not None:
-        m0, m1 = nogo.control_branches(kind, bindings)
-        target = place_out(np.concatenate([alpha * (m0 @ psi), beta * (m1 @ psi)]))
+        t = nogo.controlled_target(kind, bindings)
+        target = place_out(np.concatenate([alpha * (t[:dim, :dim] @ psi), beta * (t[dim:, dim:] @ psi)]))
 
     if isinstance(outcome, photonic.MixedOutcome):
         output = {

@@ -48,6 +48,13 @@ DEFAULT_TOL = 1e-10
 _RESTRICT_ABOVE = 48
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int if it has ``__index__``; a ``bool`` or anything else raises."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def _as_complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -97,7 +104,7 @@ class HilbertSpace:
     factors: tuple[tuple[str, int], ...]
 
     def __init__(self, factors: Iterable[tuple[str, int]]):
-        norm = tuple((str(label), int(dim)) for label, dim in factors)
+        norm = tuple((str(label), _as_int(f"dim of {label!r}", dim)) for label, dim in factors)
         if not norm:
             raise ValueError("a HilbertSpace needs at least one factor")
         labels = [label for label, _ in norm]
@@ -130,10 +137,11 @@ class HilbertSpace:
         return self.factors[self.axis(label)][1]
 
     def flat_index(self, occupation: Sequence[int]) -> int:
-        """Flattened basis index of a per-factor occupation tuple."""
-        if len(occupation) != len(self.factors):
-            raise ValueError("occupation length does not match factor count")
-        return int(np.ravel_multi_index(tuple(occupation), self.dims))
+        """Flattened basis index of a per-factor occupation tuple, range-checked."""
+        try:
+            return int(np.ravel_multi_index(tuple(occupation), self.dims))
+        except ValueError:
+            raise ValueError(f"occupation {tuple(occupation)} outside dims {self.dims}") from None
 
     def occupation(self, flat: int) -> tuple[int, ...]:
         """Inverse of :meth:`flat_index`."""

@@ -36,6 +36,7 @@ from .hilbert import (
     Operator,
     StateVector,
     _apply_stage,
+    _as_int,
     _compile_once,
     _json_field,
     _slot_counts,
@@ -57,13 +58,14 @@ class TrapSpace(HilbertSpace):
     fock_cutoff: int
 
     def __init__(self, fock_cutoff: int = 3):
-        if int(fock_cutoff) < 2:
+        if _as_int("fock_cutoff", fock_cutoff) < 2:
             raise ValueError("need at least occupations 0 and 1")
         object.__setattr__(self, "fock_cutoff", int(fock_cutoff))
         HilbertSpace.__init__(self, [("ion1", 4), ("ion2", 4), ("mode", self.fock_cutoff)])
 
     def flat(self, ion1: int, ion2: int, n: int) -> int:
-        return (ion1 * 4 + ion2) * self.fock_cutoff + n
+        """Flat index of (ion1, ion2, n), range-checked by :meth:`flat_index`."""
+        return self.flat_index((ion1, ion2, n))
 
 
 @dataclass(frozen=True)

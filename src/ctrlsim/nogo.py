@@ -19,7 +19,8 @@ fixed operation applied to the ancilla before trace-out drops out of
 the induced channel, so it is not optimized over.  :data:`TASKS` holds
 the two structures as table rows, and the unknown operations are always
 ``{slot: Operator}`` bindings, the form the photonic and ion schemes
-take.
+take.  :func:`_prepare_samples` alone assembles the targets; ``ctrlsim
+run`` and the scheme scorer read one binding's by :func:`controlled_target`.
 
 One kernel, :func:`_objective`, computes the search's fidelities and
 gradient with matmuls alone, in a value pass and a gradient pass run
@@ -55,6 +56,7 @@ import numpy as np
 from . import ion, photonic
 from .hilbert import (
     DEFAULT_TOL,
+    _as_int,
     _haar_operators,
     _slot_binding,
     _unitary_deviation,
@@ -269,28 +271,13 @@ def param_count(kind: str, ancilla_dim: int, system_dim: int) -> int:
     return _n_slots(kind) * (ancilla_dim * 2 * system_dim) ** 2
 
 
-def control_branches(kind: str, bindings) -> tuple[np.ndarray, np.ndarray]:
-    """The two control-branch operators of the controlled target, from
-    the orders in :data:`TASKS`: ``(1, U)`` for ``ctrl_u`` and
-    ``(Ug Uf, Uf Ug)`` for ``switch``.
-
-    The controlled target applies the first to the system when the
-    control is |0> and the second when it is |1>.
-    """
+def controlled_target(kind: str, bindings) -> np.ndarray:
+    """The controlled target ``T`` of one binding, ``1 (+) U`` or ``Ug Uf
+    (+) Uf Ug``: the one-sample case of :func:`_prepare_samples`, with its
+    slot and unitarity checks, at the dimension of the first slot's binding."""
     slots = TASKS[_check_kind(kind)][0]
-    return _branch_products(kind, {s: bindings[s].entries for s in slots}, bindings[slots[0]].dim)
-
-
-def _branch_products(kind: str, mats, dim: int) -> tuple[np.ndarray, ...]:
-    """Per control value, the product of ``mats[slot]`` over its order
-    in :data:`TASKS`, first-acting rightmost; the identity for an empty
-    order.  Leading axes of the matrices are batch axes."""
-
-    def branch(order):
-        factors = [mats[s] for s in order]
-        return reduce(lambda m, u: u @ m, factors) if factors else np.eye(dim)
-
-    return tuple(branch(order) for order in TASKS[kind][1])
+    dim = getattr((bindings or {}).get(slots[0]), "dim", None)
+    return _prepare_samples(kind, dim, (bindings,))[1][0].conj().T
 
 
 def draw_samples(kind: str, system_dim: int, count: int, rng: np.random.Generator):
@@ -300,7 +287,7 @@ def draw_samples(kind: str, system_dim: int, count: int, rng: np.random.Generato
     sample.  Each binding is an :class:`Operator`; the ``(count, n_slots,
     d, d)`` stack passes one unitarity check for all of them."""
     slots = TASKS[_check_kind(kind)][0]
-    if count < 1:
+    if _as_int("count", count) < 1:
         raise ValueError("sample count must be positive")
     ops = iter(_haar_operators((count, len(slots)), system_dim, rng))
     return tuple({s: next(ops) for s in slots} for _ in range(count))
@@ -313,19 +300,21 @@ def _prepare_samples(kind: str, dim: int, samples):
     Returns the layouts :func:`_objective` reads: the bound slots as
     ``(n_insertions, S, d, d)``, one contiguous stack per insertion in
     insertion order, and the adjoints ``T^dag`` of the controlled targets
-    ``T`` as ``(S, cs, cs)``.  This is the only place the target matrix is
-    assembled.  The targets are built for all samples at once, from the
-    same branch products as :func:`control_branches`, stacked: each branch
-    is written into its diagonal block of one zeroed array, and the whole
-    stack passes one unitarity check at ``DEFAULT_TOL``.
+    ``T`` as ``(S, cs, cs)``.  This is the only place branch products are
+    formed and ``T`` is assembled, for all samples at once: per control
+    value, the stacked oracles' product over its order in :data:`TASKS`,
+    first-acting rightmost, goes into its diagonal block of one zeroed
+    array, and the stack passes one unitarity check at ``DEFAULT_TOL``.
     """
     if not samples:
         raise ValueError("sample set must be non-empty")
-    slots = TASKS[kind][0]
+    slots, orders = TASKS[kind]
     bound = np.array([[_slot_binding(s, slot, dim) for slot in slots] for s in samples])
     oracles = np.ascontiguousarray(bound.swapaxes(0, 1))
     targets = np.zeros((len(samples), 2 * dim, 2 * dim), dtype=np.complex128)
-    for c, branch in enumerate(_branch_products(kind, dict(zip(slots, oracles)), dim)):
+    for c, order in enumerate(orders):
+        factors = [oracles[slots.index(slot)] for slot in order]
+        branch = reduce(lambda m, u: u @ m, factors) if factors else np.eye(dim)
         targets[:, c * dim : (c + 1) * dim, c * dim : (c + 1) * dim] = branch
     dev = _unitary_deviation(targets)
     if not dev <= DEFAULT_TOL:  # written to fail on NaN
@@ -434,8 +423,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, _as_int(name, value))
         for name in ("restarts", "max_iters", "sample_count", "system_dim", "ancilla_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -561,12 +549,11 @@ def _logical_block(scheme, bindings) -> np.ndarray:
 
 def _scheme_fidelity(kind: str, scheme, bindings) -> float:
     """Process fidelity of a scheme's logical block ``B``, with its slots
-    bound to ``bindings``, against the controlled target ``T`` of
-    :func:`_prepare_samples`: the kernel's overlap ``|Tr(T^dag B)|^2 /
-    D^2``, which is 1 iff ``B`` is ``T`` up to a global phase."""
+    bound to ``bindings``, against :func:`controlled_target` ``T``: the
+    kernel's overlap ``|Tr(T^dag B)|^2 / D^2``, which is 1 iff ``B`` is
+    ``T`` up to a global phase."""
     block = _logical_block(scheme, bindings)
-    _, (target_dag,) = _prepare_samples(kind, len(block) // 2, (bindings,))
-    return float(abs(np.sum(target_dag.T * block)) ** 2 / block.size)
+    return float(abs(np.sum(controlled_target(kind, bindings).conj() * block)) ** 2 / block.size)
 
 
 def oracle_sanity(sample_count: int = 32, internal_dim: int = 2, seed: int = 1234) -> float:
@@ -578,7 +565,7 @@ def oracle_sanity(sample_count: int = 32, internal_dim: int = 2, seed: int = 123
     metric the search maximizes.  The direct-sum realizations are exact,
     so the result must be 1 up to rounding.
     """
-    if sample_count < 1:
+    if _as_int("sample_count", sample_count) < 1:
         raise ValueError(f"sample_count must be positive, got {sample_count}")
     rng = np.random.default_rng(seed)
     schemes = (

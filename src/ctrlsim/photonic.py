@@ -38,6 +38,7 @@ from .hilbert import (
     Operator,
     StateVector,
     _apply_stage,
+    _as_int,
     _compile_once,
     _json_field,
     _slot_counts,
@@ -62,7 +63,7 @@ class PhotonicSpace(HilbertSpace):
             raise ValueError("a photonic space needs at least one path")
         if len(set(paths)) != len(paths):
             raise ValueError(f"path labels must be unique, got {paths}")
-        if int(internal_dim) < 1:
+        if _as_int("internal dimension", internal_dim) < 1:
             raise ValueError("internal dimension must be at least 1")
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "internal_dim", int(internal_dim))
@@ -76,7 +77,8 @@ class PhotonicSpace(HilbertSpace):
             raise KeyError(f"unknown path {path!r}, have {self.paths}") from None
 
     def flat(self, path: str, pol: int, internal: int) -> int:
-        return (self.path_index(path) * 2 + pol) * self.internal_dim + internal
+        """Flat index of (path, pol, internal), range-checked by :meth:`flat_index`."""
+        return self.flat_index((self.path_index(path), pol, internal))
 
     def path_slice(self, path: str) -> slice:
         """Contiguous flat-index range of one path (both polarizations)."""

@@ -8,7 +8,7 @@ from evolving every matrix unit with the ancilla attached.  The
 controlled target is written out from the paper's ``1 (+) U`` and
 ``Ug Uf (+) Uf Ug``, and a channel is scored by its Choi overlap with
 it.  Nothing here calls the kernel's own helpers (``_generator_map``,
-``_slot_matrices``, ``_prepare_samples``, ``_branch_products``) or a
+``_slot_matrices``, ``_prepare_samples``, ``controlled_target``) or a
 ``nogo`` scorer, so agreement with them is a real check.
 
 Choi convention: unnormalized, output factor first, columns flattened

@@ -302,12 +302,21 @@ class TestRunCommand:
     def test_fidelity_threshold_controls_exit_code(self, tmp_path, monkeypatch):
         # a target whose branches both leave the system alone: with U = X
         # on |0> and equal control amplitudes the output scores 1/4
-        monkeypatch.setattr(nogo, "control_branches", lambda kind, bindings: (np.eye(2), np.eye(2)))
+        monkeypatch.setattr(nogo, "controlled_target", lambda kind, bindings: np.eye(4))
         out = tmp_path / "r.json"
         argv = ["run", "--preset", "ctrl-u", "--u", "x", "--out", str(out)]
         assert run_cli(*argv, "--tolerance", "0.5") == 1
         assert abs(read_report(out)["fidelity"] - 0.25) < 1e-12  # report still written
         assert run_cli(*argv, "--tolerance", "0.9") == 0
+
+    def test_literals_whose_target_is_not_unitary_exit_2(self, tmp_path, capsys):
+        # each literal deviates by 8e-11, within tolerance, but the
+        # target's branch Ug Uf by 1.6e-10: the target check refuses it
+        m = "matrix:[[1.00000000004,0],[0,0],[0,0],[1,0]]"
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--preset", "ctrl-switch", "--uf", m, "--ug", m, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: control target deviates from unitary by 1.600e-10 (tol 1e-10)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-1", "1", "5"])
     def test_tolerance_outside_the_unit_interval_exits_2(self, tmp_path, capsys, value):

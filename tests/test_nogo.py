@@ -12,6 +12,7 @@ from ctrlsim.nogo import (
     _objective,
     _prepare_samples,
     _slot_matrices,
+    controlled_target,
     draw_samples,
     optimize,
     oracle_sanity,
@@ -31,12 +32,6 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 def kernel_fidelities(kind, a, d, x, samples):
     """Per-sample fidelities of the search kernel."""
     return _objective(kind, a, d, x, _prepare_samples(kind, d, samples))[2]
-
-
-def prepared_target(kind, bindings):
-    """The controlled target ``_prepare_samples`` builds for one sample."""
-    dim = next(iter(bindings.values())).dim
-    return _prepare_samples(kind, dim, (bindings,))[1][0].conj().T
 
 
 def reference_fidelity(kind, a, d, x, bindings):
@@ -145,12 +140,12 @@ class TestRealizedChannel:
 
 
 class TestTargetUnitary:
-    """The controlled target ``_prepare_samples`` assembles, against
-    ``1 (+) U`` and ``Ug Uf (+) Uf Ug`` written out here and in the
-    reference."""
+    """The controlled target ``_prepare_samples`` assembles, read through
+    ``controlled_target``, against ``1 (+) U`` and ``Ug Uf (+) Uf Ug``
+    written out here and in the reference."""
 
     def test_ctrl_x(self):
-        t = prepared_target(CTRL_U, {"U": Operator(X)})
+        t = controlled_target(CTRL_U, {"U": Operator(X)})
         want = np.eye(4, dtype=complex)
         want[2:, 2:] = X
         assert np.array_equal(t, want)
@@ -159,13 +154,13 @@ class TestTargetUnitary:
     def test_equal_pulses_make_control_independent_blocks(self):
         rng = np.random.default_rng(5)
         u = haar_unitary(2, rng)
-        t = prepared_target(SWITCH, {"Uf": u, "Ug": u})
+        t = controlled_target(SWITCH, {"Uf": u, "Ug": u})
         assert np.max(np.abs(t - np.kron(np.eye(2), u.entries @ u.entries))) < 1e-12
 
     def test_haar_pair_against_block_assembly(self):
         rng = np.random.default_rng(6)
         uf, ug = haar_unitary(2, rng), haar_unitary(2, rng)
-        t = prepared_target(SWITCH, {"Uf": uf, "Ug": ug})
+        t = controlled_target(SWITCH, {"Uf": uf, "Ug": ug})
         top = ug.entries @ uf.entries
         bottom = uf.entries @ ug.entries
         assert np.max(np.abs(t[:2, :2] - top)) < 1e-12
@@ -174,13 +169,32 @@ class TestTargetUnitary:
         assert np.max(np.abs(t[2:, :2])) == 0.0
 
     def test_control_branches(self):
+        # the diagonal blocks are the branch products, bit for bit, and
+        # the off-diagonal blocks are exactly 0
         rng = np.random.default_rng(7)
         u, uf, ug = (haar_unitary(3, rng) for _ in range(3))
-        m0, m1 = nogo.control_branches(CTRL_U, {"U": u})
-        assert np.array_equal(m0, np.eye(3)) and np.array_equal(m1, u.entries)
-        m0, m1 = nogo.control_branches(SWITCH, {"Uf": uf, "Ug": ug})
-        assert np.array_equal(m0, ug.entries @ uf.entries)
-        assert np.array_equal(m1, uf.entries @ ug.entries)
+        t = controlled_target(CTRL_U, {"U": u})
+        assert np.array_equal(t[:3, :3], np.eye(3)) and np.array_equal(t[3:, 3:], u.entries)
+        assert not t[:3, 3:].any() and not t[3:, :3].any()
+        t = controlled_target(SWITCH, {"Uf": uf, "Ug": ug})
+        assert np.array_equal(t[:3, :3], ug.entries @ uf.entries)
+        assert np.array_equal(t[3:, 3:], uf.entries @ ug.entries)
+        assert not t[:3, 3:].any() and not t[3:, :3].any()
+
+    def test_a_target_passes_the_slot_check(self):
+        # one binding meets the search's slot check, with its errors
+        u2, u3 = Operator(np.eye(2)), Operator(np.eye(3))
+        for bindings in ({"Uf": u2}, None):
+            with pytest.raises(KeyError, match="slot 'U' is unbound"):
+                controlled_target(CTRL_U, bindings)
+        with pytest.raises(KeyError, match="slot 'Ug' is unbound"):
+            controlled_target(SWITCH, {"Uf": u2})
+        with pytest.raises(ValueError, match="binding for slot 'Ug' has dim 3, the slot acts on dim 2"):
+            controlled_target(SWITCH, {"Uf": u2, "Ug": u3})
+        with pytest.raises(TypeError, match="binding for slot 'U' is a ndarray"):
+            controlled_target(CTRL_U, {"U": np.eye(2)})
+        with pytest.raises(ValueError, match="kind must be one of"):
+            controlled_target("ctrl-u", {"U": u2})
 
 
 class TestProcessFidelity:
@@ -322,6 +336,20 @@ class TestBatchedKernel:
             for u in bindings.values():
                 assert isinstance(u, Operator)
                 assert u.entries.tobytes() == haar_unitary(d, rng).entries.tobytes()
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (0, "sample count must be positive"),
+            (-3, "sample count must be positive"),
+            (2.5, "count must be an int, got 2.5"),
+            (True, "count must be an int, got True"),
+        ],
+    )
+    def test_a_draw_needs_a_positive_int_count(self, count, message):
+        with pytest.raises(ValueError) as info:
+            draw_samples(CTRL_U, 2, count, np.random.default_rng(0))
+        assert str(info.value) == message
 
     def test_a_draw_passes_one_stacked_unitarity_check(self, monkeypatch):
         # the whole (S, n_slots, d, d) stack is checked once, not each
@@ -521,6 +549,8 @@ class TestOptimize:
         for name, value in (("max_iters", 3.5), ("restarts", True), ("restarts", 2.5), ("seed", 0.0)):
             with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
                 SearchConfig(**{name: value})
+        # a numpy integer is stored as an int, as the JSON report needs
+        assert type(SearchConfig(restarts=np.int64(2)).restarts) is int
 
     def test_gradient_matches_directional_difference(self):
         # the exact gradient against central differences of the softmin,
@@ -783,9 +813,11 @@ class TestOracleSanity:
     def test_exact_for_generic_samples(self):
         assert oracle_sanity(sample_count=8, internal_dim=2, seed=7) >= 1 - 1e-10
 
-    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True])
     def test_no_samples_is_no_evidence(self, count):
-        with pytest.raises(ValueError, match=f"sample_count must be positive, got {count}"):
+        # a float or a bool is not a count, even where it would run
+        want = "positive" if type(count) is int else "an int"
+        with pytest.raises(ValueError, match=f"^sample_count must be {want}, got {count!r}$"):
             oracle_sanity(sample_count=count)
 
     def test_degenerate_internal_dimension(self):

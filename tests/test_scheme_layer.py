@@ -85,7 +85,7 @@ def test_scheme_spaces_are_hilbert_spaces(space, factors):
 
 
 def test_trap_space_stores_the_cutoff_its_mode_factor_has():
-    for cutoff in (4.0, np.int64(4)):
+    for cutoff in (4, np.int64(4)):
         space = ion.TrapSpace(cutoff)
         assert type(space.fock_cutoff) is int and space.fock_cutoff == space.dim_of("mode") == 4
         assert space == ion.TrapSpace(4) and hash(space) == hash(ion.TrapSpace(4))
@@ -101,12 +101,42 @@ def test_trap_space_stores_the_cutoff_its_mode_factor_has():
         ),
         (lambda: photonic.PhotonicSpace(("u",), 0), "internal dimension must be at least 1"),
         (lambda: photonic.PhotonicSpace((), 2), "a photonic space needs at least one path"),
+        # a size that is not an int is refused, not truncated
+        (lambda: HilbertSpace([("a", 2.5)]), "dim of 'a' must be an int, got 2.5"),
+        (lambda: HilbertSpace([("a", True)]), "dim of 'a' must be an int, got True"),
+        (lambda: HilbertSpace([("a", "2")]), "dim of 'a' must be an int, got '2'"),
+        (lambda: photonic.PhotonicSpace(("u", "l"), 2.9), "internal dimension must be an int, got 2.9"),
+        (lambda: photonic.PhotonicSpace(("u",), True), "internal dimension must be an int, got True"),
+        (lambda: ion.TrapSpace(3.7), "fock_cutoff must be an int, got 3.7"),
+        (lambda: ion.TrapSpace(4.0), "fock_cutoff must be an int, got 4.0"),
+        (lambda: ion.TrapSpace(True), "fock_cutoff must be an int, got True"),
     ],
 )
 def test_scheme_spaces_check_their_own_arguments(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_numpy_integer_sizes_are_accepted_as_ints():
+    assert HilbertSpace([("a", np.int64(2))]).factors == (("a", 2),)
+    space = photonic.PhotonicSpace(("u", "l"), np.int32(3))
+    assert type(space.internal_dim) is int and space.dims == (2, 2, 3)
+
+
+def test_flat_indices_are_range_checked():
+    # in range, flat is the C-order index; out of range it raises instead
+    # of landing on another basis state or counting from the end
+    assert [TRAP.flat(*c) for c in np.ndindex(TRAP.dims)] == list(range(TRAP.total_dim))
+    coords = np.ndindex(PHOTONIC.dims)
+    assert [PHOTONIC.flat(PHOTONIC.paths[p], *c) for p, *c in coords] == list(range(8))
+    for occupation in ((0, 5, 0), (-1, 0, 0)):
+        with pytest.raises(ValueError) as info:
+            TRAP.flat(*occupation)
+        assert str(info.value) == f"occupation {occupation} outside dims (4, 4, 3)"
+    with pytest.raises(ValueError) as info:
+        PHOTONIC.flat("u", 2, 0)
+    assert str(info.value) == "occupation (0, 2, 0) outside dims (2, 2, 2)"
 
 
 @pytest.mark.parametrize("build", [photonic.preset_ctrl_switch, photonic.preset_ctrl_u_monitored])
